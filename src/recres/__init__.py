@@ -19,13 +19,11 @@ from .field import (
     FieldKind,
     InvalidModulus,
     Scalar,
-    from_integer,
     is_prime,
     prime_field,
     rationals,
-    scalar_arith,
 )
-from .poly import NEG_INFINITY, Poly, ring_arith
+from .poly import NEG_INFINITY, Poly
 from .resultant import (
     BothConstantError,
     BothZeroError,
@@ -59,10 +57,8 @@ from .closedform import (
     FormulaContext,
     ZeroCoefficientError,
     degree_formula,
-    exponents,
     order_two_formula,
     schur_formula,
-    step_sign_exponent,
 )
 
 __version__ = "0.1.0"
@@ -70,11 +66,10 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # field
-    "FieldDescriptor", "FieldKind", "Scalar", "rationals", "prime_field",
-    "from_integer", "scalar_arith", "is_prime",
+    "FieldDescriptor", "FieldKind", "Scalar", "rationals", "prime_field", "is_prime",
     "DescriptorMismatch", "DivisionByZero", "InvalidModulus",
     # poly
-    "Poly", "NEG_INFINITY", "ring_arith",
+    "Poly", "NEG_INFINITY",
     # resultant
     "Matrix", "sylvester_matrix", "determinant",
     "resultant_sylvester", "resultant_euclid",
@@ -86,6 +81,6 @@ __all__ = [
     "MissingStepError", "WindowSizeError", "ValidationFailedError",
     "DegreeMismatchError", "InvalidParamsError",
     # closedform
-    "FormulaContext", "degree_formula", "exponents", "step_sign_exponent",
+    "FormulaContext", "degree_formula",
     "schur_formula", "order_two_formula", "ZeroCoefficientError",
 ]

@@ -48,6 +48,7 @@ from .recurrence import (
     StepCoeffs,
     TTerm,
     ValidationReport,
+    edge_branch,
     generate,
     validate,
 )
@@ -333,21 +334,21 @@ def cmd_resultant(args) -> int:
         print(f"MISMATCH: {exc}", file=sys.stderr)
         return 4
     elapsed = time.perf_counter() - started
-    for method, value in values.items():
-        print(f"{method}: {value}")
-    distinct = {v.to_text() for v in values.values()}
-    match = len(distinct) == 1
+    texts = {method: v.to_text() for method, v in values.items()}
+    for method, text in texts.items():
+        print(f"{method}: {text}")
+    match = len(set(values.values())) == 1
     doc = _base_report("resultant", spec, args.instance)
     doc["n"] = n
     doc["method"] = args.method
-    doc["values"] = {method: v.to_text() for method, v in values.items()}
+    doc["values"] = texts
     doc["match"] = match
     doc["validation"] = validation_to_json(report)
     doc["elapsed_seconds"] = round(elapsed, 6)
     if args.json:
         _write_json(Path(args.json), doc)
     if not match:
-        print(f"MISMATCH at n={n}: " + ", ".join(f"{m}={v}" for m, v in doc["values"].items()), file=sys.stderr)
+        print(f"MISMATCH at n={n}: " + ", ".join(f"{m}={v}" for m, v in texts.items()), file=sys.stderr)
         return 4
     return 0
 
@@ -421,17 +422,20 @@ class Lcg:
         """Uniform-ish integer in [lo, hi], inclusive."""
         return lo + self.below(hi - lo + 1)
 
-    def nonzero_int_in(self, lo: int, hi: int) -> int:
-        while True:
-            v = self.int_in(lo, hi)
-            if v:
-                return v
+
+def _draw_nonzero(rng: Lcg, desc: FieldDescriptor, bound: int) -> Scalar:
+    """An integer from [-bound, bound], redrawn while its image in the field
+    is zero; for p > 2 * bound that is exactly while it is 0."""
+    while True:
+        value = Scalar(desc, rng.int_in(-bound, bound))
+        if not value.is_zero():
+            return value
 
 
 def _draw_poly(rng: Lcg, desc: FieldDescriptor, degree: int, bound: int) -> Poly:
     """Random polynomial of exact degree with coefficients in [-bound, bound]."""
     coeffs = [rng.int_in(-bound, bound) for _ in range(degree)]
-    coeffs.append(rng.nonzero_int_in(-bound, bound))
+    coeffs.append(_draw_nonzero(rng, desc, bound))
     return Poly(desc, coeffs)
 
 
@@ -474,7 +478,7 @@ def _draw_instance(rng: Lcg, desc: FieldDescriptor, bounds: dict, index: int) ->
     steps = {}
     for n in range(d + 1, n_max + 1):
         g = _draw_poly(rng, desc, k, bound)
-        v = Scalar(desc, rng.nonzero_int_in(-bound, bound))
+        v = _draw_nonzero(rng, desc, bound)
         t_terms = []
         if alphas and k >= 2:
             chosen: set[int] = set()
@@ -558,7 +562,7 @@ def cmd_fuzz(args) -> int:
         except DegreeMismatchError as exc:
             print(f"MISMATCH: {exc} (see {out_dir / file_name})", file=sys.stderr)
             return 4
-        edge = spec.degrees[spec.d] == spec.degrees[spec.d - 1] and spec.k == spec.l
+        edge = edge_branch(spec)
         edge_count += edge
         instances.append(
             {
@@ -671,6 +675,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Instance scalars and resultants run to tens of thousands of digits,
+    # past the interpreter's default cap on int <-> str conversion.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     return args.func(args)
 

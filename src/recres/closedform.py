@@ -2,42 +2,41 @@
 coefficient, constant term, and the resultant Res(r_n, r_{n-1}) -- all
 evaluated from the instance data alone, without generating polynomials.
 
-Writing i = i_d, i' = i_{d-1}, p = p_{i_d,d} (leading coefficient of
-r_d), a_{k,s} = lc(g_s), a_{0,s} = g_s(0), the closed forms are
+Writing a_{k,s} = lc(g_s), a_{0,s} = g_s(0), L_s = lc(r_s),
+C_s = r_s(0) and R_s = Res(r_s, r_{s-1}), FormulaContext runs one
+forward pass over s = d+1, d+2, ... with one update per quantity:
 
-    deg r_n = k * (1 + m + ... + m^{n-d-1}) + i * m^{n-d}        (n >= d)
+    deg r_s = k + m deg r_{s-1}
 
-    L_n     = p^{m^{n-d}} * prod_{s=1}^{n-d} a_{k,d+s}^{m^{n-d-s}}
-              except when i = i' and k = l, where the base becomes
-              E = a_{k,d+1} p^m + v_{d+1} p_{i',d-1}^m:
-              L_n = E^{m^{n-d-1}} * prod_{s=2}^{n-d} a_{k,d+s}^{m^{n-d-s}}
+    L_s     = a_{k,s} L_{s-1}^m
+              except at s = d+1 on the edge branch i_d = i_{d-1}, k = l,
+              where the v_{d+1} term reaches the top degree and
+              L_{d+1} = E = a_{k,d+1} L_d^m + v_{d+1} L_{d-1}^m
 
-    C_n     = r_n(0): for l > 0 it is
-              p_{0,d}^{m^{n-d}} * prod_{s=1}^{n-d} a_{0,d+s}^{m^{n-d-s}},
-              for l = 0 it only satisfies the recurrence
-              C_n = a_{0,n} C_{n-1}^m + v_n C_{n-2}^m and has no closed
-              product form; the resultant formula then uses C^0 = 1.
+    C_s     = a_{0,s} C_{s-1}^m + v_s C_{s-2}^m   (v-term only for l = 0)
 
-    gamma(n) = deg r_n - deg(v_n x^l r_{n-2}^m)
-             = k - l + m(i - i')                         for n = d+1
-             = m^{n-d-1} (k + i(m-1)) + k - l            for n >= d+2
+    gamma(s) = deg r_s - deg(v_s x^l r_{s-2}^m) = deg r_s - l - m deg r_{s-2}
 
-    R_n = (-1)^{sum_{s=d+1}^{n} m^{n-s} sigma(s)} * R_d^{m^{n-d}}
-          * prod_{s=d+1}^{n} (L_{s-1}^{gamma(s)} v_s^{deg r_{s-1}}
-                               C_{s-1}^l)^{m^{n-s}},
+    R_s     = (-1)^sigma(s) L_{s-1}^{gamma(s)} v_s^{deg r_{s-1}} C_{s-1}^l R_{s-1}^m
 
-with sigma(s) = deg r_s * deg r_{s-1} + l * deg r_{s-1}.  The second
-summand of sigma is the parity of Res(r_{s-1}, x)^l = ((-1)^{deg
+with sigma(s) = deg r_s * deg r_{s-1} + l * deg r_{s-1}, starting from the
+initial polynomials (R_d by resultant_sylvester, never assumed).  The
+second summand of sigma is the parity of Res(r_{s-1}, x)^l = ((-1)^{deg
 r_{s-1}} r_{s-1}(0))^l; dropping it (a tempting simplification, since
 most references quote the step with r_{s-1}(0)^l directly) makes the
 formula wrong by a sign exactly when l and deg r_{s-1} are both odd.
-Empty products are 1, as is 0^0 wherever an exponent vanishes.
+Empty products are 1, as is 0^0 wherever an exponent vanishes, so
+C_{s-1}^l = 1 for l = 0.
 
-R_d is always computed from the initial polynomials by
-resultant_sylvester, never assumed.
+Unrolling the updates gives the paper's product forms, e.g.
+deg r_n = k (1 + m + ... + m^{n-d-1}) + i_d m^{n-d},
+L_n = lc(r_d)^{m^{n-d}} prod_{s=d+1}^{n} a_{k,s}^{m^{n-s}} off the edge
+branch, and R_n = (-1)^{sum_s m^{n-s} sigma(s)} R_d^{m^{n-d}}
+prod_{s=d+1}^{n} (L_{s-1}^{gamma(s)} v_s^{deg r_{s-1}} C_{s-1}^l)^{m^{n-s}};
+order_two_formula evaluates that unrolled form independently.
 
-FormulaContext memoizes per instance; a context is meant to be used
-from one thread at a time, while distinct contexts are fully
+FormulaContext keeps the per-step values of the pass; a context is meant
+to be used from one thread at a time, while distinct contexts are fully
 independent.
 """
 
@@ -48,14 +47,14 @@ from .poly import Poly
 from .recurrence import (
     RecurrenceSpec,
     ValidationFailedError,
+    edge_base,
+    edge_branch,
     validate,
 )
 from .resultant import resultant_sylvester
 
 __all__ = [
     "degree_formula",
-    "exponents",
-    "step_sign_exponent",
     "FormulaContext",
     "schur_formula",
     "order_two_formula",
@@ -86,158 +85,89 @@ def degree_formula(spec: RecurrenceSpec, n: int) -> int:
     return spec.k * _geom(spec.m, shift) + spec.degrees[spec.d] * spec.m**shift
 
 
-def exponents(spec: RecurrenceSpec, n: int) -> tuple[int, int]:
-    """(gamma, e) for step n >= d+1.
-
-    gamma is the degree drop deg r_n - deg(v_n x^l r_{n-2}^m), the
-    exponent of L_{n-1} in one unwound elimination step; e is
-    deg r_n * deg r_{n-1}, which controls the swap sign.
-    """
-    d, m, k, l = spec.d, spec.m, spec.k, spec.l
-    if n < d + 1:
-        raise ValueError(f"exponents need n >= d+1 = {d + 1}")
-    i_d, i_dm1 = spec.degrees[d], spec.degrees[d - 1]
-    if n == d + 1:
-        gamma = k - l + m * (i_d - i_dm1)
-    else:
-        gamma = m ** (n - d - 1) * (k + i_d * (m - 1)) + k - l
-    e = degree_formula(spec, n) * degree_formula(spec, n - 1)
-    return gamma, e
-
-
-def step_sign_exponent(spec: RecurrenceSpec, n: int) -> int:
-    """Parity exponent sigma(n) = deg r_n * deg r_{n-1} + l * deg r_{n-1}."""
-    _, e = exponents(spec, n)
-    return e + spec.l * degree_formula(spec, n - 1)
-
-
 class FormulaContext:
-    """Memoized closed-form evaluation for one instance."""
+    """The one-step closed forms of one instance, evaluated by a forward
+    pass whose per-step values are kept for later queries."""
 
     def __init__(self, spec: RecurrenceSpec, *, allow_zero_v: bool = False):
         self.spec = spec
         self.allow_zero_v = allow_zero_v
-        self._lead: dict[int, Scalar] = {}
-        self._const: dict[int, Scalar] = {}
-        self._resultant: dict[int, Scalar] = {}
-        self._base: Scalar | None = None
+        # index s holds deg r_s, L_s and C_s; index s - d holds R_s
+        self._deg = list(spec.degrees)
+        self._lead = [r.leading_coeff() for r in spec.initials]
+        self._const = [r.coeff_at(0) for r in spec.initials]
+        self._resultants: list[Scalar] = []
         self._validated_to = spec.d
 
-    # -- pieces ----------------------------------------------------------
-
-    def _a_lead(self, s: int) -> Scalar:
-        return self.spec.step_coeffs(s).g.coeff_at(self.spec.k)
-
-    def _edge_base(self) -> Scalar:
-        d, m = self.spec.d, self.spec.m
-        first = self.spec.step_coeffs(d + 1)
-        p_d = self.spec.initials[d].leading_coeff()
-        p_dm1 = self.spec.initials[d - 1].leading_coeff()
-        return self._a_lead(d + 1) * p_d**m + first.v * p_dm1**m
+    def _advance(self, n: int) -> None:
+        """Extend deg r_s, L_s and C_s to s = n."""
+        spec = self.spec
+        m, k = spec.m, spec.k
+        deg, lead, const = self._deg, self._lead, self._const
+        for s in range(len(deg), n + 1):
+            coeffs = spec.step_coeffs(s)
+            deg.append(k + m * deg[s - 1])
+            if s == spec.d + 1 and edge_branch(spec):
+                lead.append(edge_base(spec))
+            else:
+                lead.append(coeffs.g.coeff_at(k) * lead[s - 1] ** m)
+            value = coeffs.g.coeff_at(0) * const[s - 1] ** m
+            if spec.l == 0:
+                value = value + coeffs.v * const[s - 2] ** m
+            const.append(value)
 
     def leading_term(self, n: int) -> Scalar:
         """L_n = lc(r_n) by closed form, n >= d."""
-        spec = self.spec
-        d, m, k, l = spec.d, spec.m, spec.k, spec.l
-        if n < d:
-            raise ValueError(f"leading_term needs n >= d = {d}")
-        if n in self._lead:
-            return self._lead[n]
-        p_d = spec.initials[d].leading_coeff()
-        if n == d:
-            value = p_d
-        elif spec.degrees[d] == spec.degrees[d - 1] and k == l:
-            value = self._edge_base() ** (m ** (n - d - 1))
-            for s in range(2, n - d + 1):
-                value = value * self._a_lead(d + s) ** (m ** (n - d - s))
-        else:
-            value = p_d ** (m ** (n - d))
-            for s in range(1, n - d + 1):
-                value = value * self._a_lead(d + s) ** (m ** (n - d - s))
-        self._lead[n] = value
-        return value
-
-    def constant_term(self, n: int) -> Scalar:
-        """The C_n the resultant formula uses: 1 for l = 0, else the
-        closed product form of r_n(0)."""
-        spec = self.spec
-        d, m = spec.d, spec.m
-        if n < d:
-            raise ValueError(f"constant_term needs n >= d = {d}")
-        if spec.l == 0:
-            return Scalar(spec.descriptor, 1)
-        value = spec.initials[d].coeff_at(0) ** (m ** (n - d))
-        for s in range(1, n - d + 1):
-            a0 = spec.step_coeffs(d + s).g.coeff_at(0)
-            value = value * a0 ** (m ** (n - d - s))
-        return value
+        if n < self.spec.d:
+            raise ValueError(f"leading_term needs n >= d = {self.spec.d}")
+        self._advance(n)
+        return self._lead[n]
 
     def constant_value(self, n: int) -> Scalar:
         """The true r_n(0), by the constant-term recurrence
         C_n = a_{0,n} C_{n-1}^m + v_n C_{n-2}^m (v-term absent for l > 0)."""
-        spec = self.spec
         if n < 0:
             raise ValueError("n must be >= 0")
-        if n <= spec.d:
-            return spec.initials[n].coeff_at(0)
-        if n in self._const:
-            return self._const[n]
-
-        def known(s: int) -> Scalar:
-            return spec.initials[s].coeff_at(0) if s <= spec.d else self._const[s]
-
-        for s in range(spec.d + 1, n + 1):
-            if s in self._const:
-                continue
-            coeffs = spec.step_coeffs(s)
-            value = coeffs.g.coeff_at(0) * known(s - 1) ** spec.m
-            if spec.l == 0:
-                value = value + coeffs.v * known(s - 2) ** spec.m
-            self._const[s] = value
+        self._advance(n)
         return self._const[n]
 
     def base_resultant(self) -> Scalar:
         """R_d = Res(r_d, r_{d-1}), computed by resultant_sylvester."""
-        if self._base is None:
-            self._base = resultant_sylvester(self.spec.initials[self.spec.d], self.spec.initials[self.spec.d - 1])
-        return self._base
-
-    # -- the main formula --------------------------------------------------
+        if not self._resultants:
+            d = self.spec.d
+            self._resultants.append(resultant_sylvester(self.spec.initials[d], self.spec.initials[d - 1]))
+        return self._resultants[0]
 
     def resultant_formula(self, n: int) -> Scalar:
         """Res(r_n, r_{n-1}) by the closed form, for n >= d+1.
 
-        Validates the instance once up to n; the sign exponent is
-        accumulated in unbounded integers and reduced mod 2 at the end.
+        Validates the instance once up to n.
         """
         spec = self.spec
         d, m, l = spec.d, spec.m, spec.l
         if n < d + 1:
             raise ValueError(f"resultant_formula needs n >= d+1 = {d + 1}")
-        if n in self._resultant:
-            return self._resultant[n]
         if n > self._validated_to:
             report = validate(spec, n, allow_zero_v=self.allow_zero_v)
             if not report.ok:
                 raise ValidationFailedError(report)
             self._validated_to = n
-        sign_exp = 0
-        value = self.base_resultant() ** (m ** (n - d))
-        for s in range(d + 1, n + 1):
-            weight = m ** (n - s)
-            sign_exp += weight * step_sign_exponent(spec, s)
-            gamma, _ = exponents(spec, s)
-            deg_prev = degree_formula(spec, s - 1)
-            factor = (
-                self.leading_term(s - 1) ** gamma
-                * spec.step_coeffs(s).v ** deg_prev
-                * self.constant_term(s - 1) ** l
+        self._advance(n)
+        self.base_resultant()
+        deg, lead, const, resultants = self._deg, self._lead, self._const, self._resultants
+        value = resultants[-1]
+        for s in range(d + len(resultants), n + 1):
+            gamma = deg[s] - l - m * deg[s - 2]
+            value = (
+                value**m
+                * lead[s - 1] ** gamma
+                * spec.step_coeffs(s).v ** deg[s - 1]
+                * const[s - 1] ** l
             )
-            value = value * factor**weight
-        if sign_exp % 2:
-            value = -value
-        self._resultant[n] = value
-        return value
+            if (deg[s] * deg[s - 1] + l * deg[s - 1]) % 2:
+                value = -value
+            resultants.append(value)
+        return resultants[n - d]
 
 
 def schur_formula(a: list[Scalar], c: list[Scalar], n: int) -> Scalar:

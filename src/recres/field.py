@@ -17,7 +17,6 @@ written "a/b" or just "a", a prime-field scalar as a decimal integer in
 from __future__ import annotations
 
 import enum
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,8 +26,6 @@ __all__ = [
     "Scalar",
     "rationals",
     "prime_field",
-    "from_integer",
-    "scalar_arith",
     "is_prime",
     "DescriptorMismatch",
     "DivisionByZero",
@@ -200,7 +197,7 @@ class Scalar:
         if self.descriptor.is_prime_field:
             return Scalar(self.descriptor, pow(self.value, exponent, self.descriptor.modulus))
         if self.is_zero():
-            return one(self.descriptor) if exponent == 0 else self
+            return Scalar(self.descriptor, 1) if exponent == 0 else self
         return Scalar(self.descriptor, self.value**exponent)
 
     # -- text encoding ---------------------------------------------------
@@ -228,38 +225,3 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self.descriptor}, {self.to_text()})"
-
-
-def zero(descriptor: FieldDescriptor) -> Scalar:
-    return Scalar(descriptor, 0)
-
-
-def one(descriptor: FieldDescriptor) -> Scalar:
-    return Scalar(descriptor, 1)
-
-
-def from_integer(descriptor: FieldDescriptor, n: int) -> Scalar:
-    """Canonical image of a signed integer in the field."""
-    return Scalar(descriptor, n)
-
-
-_UNARY = {"neg", "inv"}
-_BINARY = {"add", "sub", "mul", "div"}
-
-
-def scalar_arith(op: str, a: Scalar, b: Scalar | None = None) -> Scalar:
-    """Dispatch one field operation by name.
-
-    ``op`` is one of add, sub, mul, div, neg, inv; ``b`` must be given
-    exactly for the binary ops.
-    """
-    if op in _UNARY:
-        if b is not None:
-            raise ValueError(f"{op} is unary")
-        return -a if op == "neg" else a.inv()
-    if op in _BINARY:
-        if b is None:
-            raise ValueError(f"{op} needs a second operand")
-        fn = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}[op]
-        return fn(a, b)
-    raise ValueError(f"unknown operation {op!r}")

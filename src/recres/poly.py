@@ -28,7 +28,7 @@ from .field import (
     Scalar,
 )
 
-__all__ = ["Poly", "NEG_INFINITY", "ring_arith"]
+__all__ = ["Poly", "NEG_INFINITY"]
 
 NEG_INFINITY: float = float("-inf")
 
@@ -325,18 +325,3 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.descriptor}, [{', '.join(self.to_text())}])"
-
-
-def ring_arith(op: str, f: Poly, g) -> Poly:
-    """Dispatch one ring operation by name: add, sub, mul, scalar_mul, pow."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    if op == "scalar_mul":
-        return f.scale(g)
-    if op == "pow":
-        return f**g
-    raise ValueError(f"unknown operation {op!r}")

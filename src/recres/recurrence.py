@@ -43,6 +43,8 @@ __all__ = [
     "Violation",
     "ValidationReport",
     "validate",
+    "edge_branch",
+    "edge_base",
     "step",
     "generate",
     "schur_recurrence",
@@ -168,8 +170,19 @@ class ValidationReport:
         return "; ".join(lines)
 
 
-def _edge_branch(spec: RecurrenceSpec) -> bool:
+def edge_branch(spec: RecurrenceSpec) -> bool:
+    """i_d = i_{d-1} and k = l: the v_{d+1} term reaches the top degree of r_{d+1}."""
     return spec.degrees[spec.d] == spec.degrees[spec.d - 1] and spec.k == spec.l
+
+
+def edge_base(spec: RecurrenceSpec) -> Scalar:
+    """E = a_{k,d+1} p_{i_d,d}^m + v_{d+1} p_{i_{d-1},d-1}^m, which is
+    lc(r_{d+1}) on the edge branch."""
+    d, m = spec.d, spec.m
+    first = spec.step_coeffs(d + 1)
+    lead_d = spec.initials[d].leading_coeff()
+    lead_dm1 = spec.initials[d - 1].leading_coeff()
+    return first.g.coeff_at(spec.k) * lead_d**m + first.v * lead_dm1**m
 
 
 def validate(spec: RecurrenceSpec, up_to: int, *, allow_zero_v: bool = False) -> ValidationReport:
@@ -269,19 +282,14 @@ def validate(spec: RecurrenceSpec, up_to: int, *, allow_zero_v: bool = False) ->
             if not term.poly.is_zero() and term.poly.degree() >= coeffs.g.degree():
                 bad(Violation("TDegree", n, f"deg t_{term.alpha} = {term.poly.degree()} >= deg g = {coeffs.g.degree()}"))
 
-    if _edge_branch(spec) and up_to >= d + 1 and report.ok:
-        first = spec.step_coeffs(d + 1)
-        lead_d = spec.initials[d].leading_coeff()
-        lead_dm1 = spec.initials[d - 1].leading_coeff()
-        edge = first.g.coeff_at(k) * lead_d**m + first.v * lead_dm1**m
-        if edge.is_zero():
-            bad(
-                Violation(
-                    "EdgeCaseZero",
-                    d + 1,
-                    "a_{k,d+1} p_{i_d,d}^m + v_{d+1} p_{i_{d-1},d-1}^m = 0",
-                )
+    if edge_branch(spec) and up_to >= d + 1 and report.ok and edge_base(spec).is_zero():
+        bad(
+            Violation(
+                "EdgeCaseZero",
+                d + 1,
+                "a_{k,d+1} p_{i_d,d}^m + v_{d+1} p_{i_{d-1},d-1}^m = 0",
             )
+        )
 
     return report
 

@@ -5,10 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from recres import Poly, Scalar, rationals
+from recres import Poly, Scalar, prime_field, rationals
 from recres.cli import (
     InstanceFormatError,
     Lcg,
+    _draw_nonzero,
     load_instance,
     main,
     spec_from_json,
@@ -91,6 +92,45 @@ def test_resultant_single_method(capsys):
 
 def test_resultant_n_too_small(capsys):
     assert main(["resultant", str(SCHUR_FILE), "--n", "1"]) == 2
+
+
+@pytest.fixture
+def default_digit_cap():
+    """Restore the interpreter's default 4300-digit int <-> str cap for one test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int <-> str digit cap")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+def linear_q_doc(g, v, n_max):
+    """r_n = g r_{n-1} + v r_{n-2} over Q from (1, x)."""
+    return {
+        "schema": 1, "field": "rational", "d": 1, "m": 1, "k": 1, "l": 0,
+        "degrees": [0, 1], "initials": [["1"], ["0", "1"]],
+        "steps": {str(n): {"g": g, "t": [], "v": v} for n in range(2, n_max + 1)},
+    }
+
+
+def test_resultant_writes_values_past_the_digit_cap(tmp_path, capsys, default_digit_cap):
+    # Schur: Res(r_40, r_39) = prod_{i=2}^{39} 1000^{2(40-i)} * prod_{i=1}^{39} 1000^i = 10^6786
+    path = write_doc(tmp_path, linear_q_doc(["0", "1000"], "-1000", 40))
+    out = tmp_path / "res.json"
+    assert main(["resultant", path, "--n", "40", "--method", "formula", "--json", str(out)]) == 0
+    expected = "1" + "0" * 6786
+    assert capsys.readouterr().out == f"formula: {expected}\n"
+    assert json.loads(out.read_text())["values"] == {"formula": expected}
+
+
+def test_resultant_reads_scalars_past_the_digit_cap(tmp_path, capsys, default_digit_cap):
+    # r_2 = x^2 - 10^5000 and r_1 = x: Res(r_2, r_1) = r_2(0) = -10^5000 on every route
+    path = write_doc(tmp_path, linear_q_doc(["0", "1"], "-1" + "0" * 5000, 2))
+    out = tmp_path / "res.json"
+    assert main(["resultant", path, "--n", "2", "--json", str(out)]) == 0
+    values = json.loads(out.read_text())["values"]
+    assert set(values.values()) == {"-1" + "0" * 5000}
 
 
 def test_resultant_mismatch_exits_4(tmp_path, capsys, monkeypatch):
@@ -275,6 +315,13 @@ def test_fuzz_mismatch_exits_4(tmp_path, capsys, monkeypatch):
     assert "MISMATCH" in err and "instance_000.json" in err
 
 
+def test_fuzz_tiny_prime_field(tmp_path, capsys):
+    # over F_2 every drawn +-2 or +-4 vanishes; leading coefficients and v_n are redrawn
+    out = tmp_path / "fz2"
+    assert main(["fuzz", "--seed", "1", "--count", "20", "--field", "2", "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["all_match"] is True
+
+
 def test_fuzz_rejects_composite_field(capsys):
     with pytest.raises(SystemExit):
         main(["fuzz", "--seed", "1", "--count", "1", "--field", "10", "--out", "/tmp/x"])
@@ -299,7 +346,8 @@ def test_lcg_int_in_bounds():
     values = [rng.int_in(-5, 5) for _ in range(200)]
     assert all(-5 <= v <= 5 for v in values)
     assert any(v < 0 for v in values) and any(v > 0 for v in values)
-    assert all(rng.nonzero_int_in(-2, 2) != 0 for _ in range(50))
+    # over F_2 the draws +-2 vanish too and are redrawn
+    assert all(not _draw_nonzero(rng, prime_field(2), 2).is_zero() for _ in range(50))
 
 
 # -- module entry point -----------------------------------------------------------

@@ -11,7 +11,6 @@ from recres import (
     ValidationFailedError,
     ZeroCoefficientError,
     degree_formula,
-    exponents,
     generate,
     order_two_formula,
     order_two_recurrence,
@@ -22,7 +21,6 @@ from recres import (
     schur_formula,
     schur_recurrence,
     step,
-    step_sign_exponent,
 )
 from helpers import rand_instance, rand_poly, rand_scalar
 
@@ -46,7 +44,7 @@ def cubic_m2(desc=Q, n_max=6):
     )
 
 
-# -- degree and exponent formulas ---------------------------------------------
+# -- degree formula -----------------------------------------------------------
 
 
 def test_degree_formula_examples():
@@ -64,28 +62,6 @@ def test_degree_formula_matches_generated_degrees():
             spec, n_max = rand_instance(rng, desc)
             for n, r in enumerate(generate(spec, n_max)):
                 assert r.degree() == degree_formula(spec, n)
-
-
-def test_exponents_examples():
-    schur = simple_schur()
-    assert exponents(schur, 2) == (2, 2)
-    assert exponents(schur, 3) == (2, 6)
-    assert exponents(cubic_m2(), 2) == (3, 3)
-    with pytest.raises(ValueError):
-        exponents(schur, 1)
-
-
-def test_exponents_match_their_definition():
-    # gamma(n) = deg r_n - deg(v_n x^l r_{n-2}^m), e(n) = deg r_n * deg r_{n-1}
-    rng = random.Random(101)
-    for _ in range(8):
-        spec, n_max = rand_instance(rng, FP)
-        seq = generate(spec, n_max)
-        for n in range(spec.d + 1, n_max + 1):
-            gamma, e = exponents(spec, n)
-            assert gamma == seq[n].degree() - (spec.l + spec.m * seq[n - 2].degree())
-            assert e == seq[n].degree() * seq[n - 1].degree()
-            assert step_sign_exponent(spec, n) == e + spec.l * seq[n - 1].degree()
 
 
 # -- leading and constant terms -------------------------------------------------
@@ -138,16 +114,10 @@ def shifted_l1_instance(n_max=5):
 def test_constant_term_positive_l():
     spec = shifted_l1_instance()
     ctx = FormulaContext(spec)
-    # closed product: 2 * 3 * 3 at n = 3; the true r_3(0)
-    assert ctx.constant_term(3) == Scalar(Q, 18)
+    # a_{0,3} a_{0,2} r_1(0) = 3 * 3 * 2: for l > 0 the v-term vanishes at 0
     assert ctx.constant_value(3) == Scalar(Q, 18)
     seq = generate(spec, 3)
     assert seq[3].evaluate(Scalar(Q, 0)) == Scalar(Q, 18)
-
-
-def test_constant_term_l_zero_is_one():
-    ctx = FormulaContext(simple_schur())
-    assert ctx.constant_term(5) == Scalar(Q, 1)
 
 
 def test_constant_value_recurrence():
@@ -168,8 +138,6 @@ def test_constant_value_matches_generated():
             origin = Scalar(desc, 0)
             for n in range(n_max + 1):
                 assert ctx.constant_value(n) == seq[n].evaluate(origin)
-                if spec.l > 0 and n >= spec.d:
-                    assert ctx.constant_term(n) == seq[n].evaluate(origin)
 
 
 # -- the resultant formula -------------------------------------------------------
@@ -258,24 +226,27 @@ def test_main_identity_random_instances():
 
 
 def test_recursive_step_identity():
-    # R_n = (-1)^sigma(n) L_{n-1}^gamma(n) v_n^{deg r_{n-1}} C_{n-1}^l R_{n-1}^m
+    # R_n = (-1)^sigma(n) L_{n-1}^gamma(n) v_n^{deg r_{n-1}} C_{n-1}^l R_{n-1}^m, with
+    # gamma(n) = deg r_n - deg(v_n x^l r_{n-2}^m) and
+    # sigma(n) = deg r_n deg r_{n-1} + l deg r_{n-1}, both from the generated degrees
     rng = random.Random(105)
     for desc in (FP, Q):
         for _ in range(6):
             spec, n_max = rand_instance(rng, desc)
             seq = generate(spec, n_max)
             ctx = FormulaContext(spec)
+            deg = [r.degree() for r in seq]
             for n in range(spec.d + 1, n_max + 1):
                 r_n = resultant_sylvester(seq[n], seq[n - 1])
                 r_prev = resultant_sylvester(seq[n - 1], seq[n - 2])
-                gamma, _ = exponents(spec, n)
+                gamma = deg[n] - (spec.l + spec.m * deg[n - 2])
                 rhs = (
-                    ctx.leading_term(n - 1) ** gamma
-                    * spec.steps[n].v ** seq[n - 1].degree()
-                    * ctx.constant_term(n - 1) ** spec.l
+                    seq[n - 1].leading_coeff() ** gamma
+                    * spec.steps[n].v ** deg[n - 1]
+                    * ctx.constant_value(n - 1) ** spec.l
                     * r_prev**spec.m
                 )
-                if step_sign_exponent(spec, n) % 2:
+                if (deg[n] * deg[n - 1] + spec.l * deg[n - 1]) % 2:
                     rhs = -rhs
                 assert r_n == rhs
 
@@ -319,16 +290,16 @@ def test_schur_formula_rejects_zero_coefficients():
 # -- the order-two closed form, independently evaluated ----------------------------
 
 
-def rand_order_two(rng, desc, max_tries=300):
+def rand_order_two(rng, desc, max_tries=300, fixed_m=None, fixed_n_max=None):
     for _ in range(max_tries):
-        m = rng.randint(1, 3)
+        m = fixed_m or rng.randint(1, 3)
         top = 3 if m <= 2 else 2
         k = rng.randint(1, top)
         l = rng.randint(0, k)
         i = rng.randint(0, 2)
         j = rng.randint(i, top)
         # depth capped by m to keep the degrees (~ j * m^(n-1)) desk sized
-        n_max = {1: 6, 2: 4, 3: 4}[m]
+        n_max = fixed_n_max or {1: 6, 2: 4, 3: 4}[m]
         initial0 = rand_poly(rng, desc, i, -5, 5)
         initial1 = rand_poly(rng, desc, j, -5, 5)
         tables = []
@@ -362,6 +333,18 @@ def test_order_two_formula_consistency():
                 independent = order_two_formula(initial0, initial1, tables, n)
                 assert independent == ctx.resultant_formula(n)
                 assert independent == resultant_sylvester(seq[n], seq[n - 1])
+    # m = 1 far beyond Sylvester's reach: the pass against the unrolled product alone
+    rng = random.Random(109)
+    for desc in (FP, Q):
+        checked = 0
+        while checked < 3:
+            initial0, initial1, tables, spec, n_max = rand_order_two(rng, desc, fixed_m=1, fixed_n_max=80)
+            ctx = FormulaContext(spec)
+            if ctx.resultant_formula(n_max).is_zero():
+                continue  # a common root (e.g. x once some a_{0,s} = 0 with l > 0): 0 = 0 checks little
+            checked += 1
+            for n in (*range(2, n_max, 7), n_max):
+                assert order_two_formula(initial0, initial1, tables, n) == ctx.resultant_formula(n)
 
 
 def test_edge_branch_identity():

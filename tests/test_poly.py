@@ -13,7 +13,6 @@ from recres import (
     Scalar,
     prime_field,
     rationals,
-    ring_arith,
 )
 from helpers import rand_nonzero_poly
 
@@ -42,17 +41,6 @@ def test_ring_arith_examples():
     assert P(1, 1) ** 0 == Poly.one(Q)
     assert P(-1, 0, 1) + P(1, 0, -1) == Poly.zero(Q)
     assert (P(-1, 0, 1) + P(1, 0, -1)).coeffs == ()
-
-
-def test_ring_arith_dispatch():
-    f, g = P(1, 2), P(0, 1)
-    assert ring_arith("add", f, g) == f + g
-    assert ring_arith("sub", f, g) == f - g
-    assert ring_arith("mul", f, g) == f * g
-    assert ring_arith("scalar_mul", f, Scalar(Q, 3)) == P(3, 6)
-    assert ring_arith("pow", f, 2) == f * f
-    with pytest.raises(ValueError):
-        ring_arith("divide", f, g)
 
 
 def test_divrem_examples():

@@ -42,7 +42,6 @@ from .recurrence import (
     RecurrenceSpec,
     StepCoeffs,
     TTerm,
-    ValidationFailedError,
     ValidationReport,
     Violation,
     WindowSizeError,
@@ -78,8 +77,8 @@ __all__ = [
     "RecurrenceSpec", "StepCoeffs", "TTerm", "ValidationReport", "Violation",
     "validate", "step", "generate",
     "schur_recurrence", "linear_recurrence", "order_two_recurrence",
-    "MissingStepError", "WindowSizeError", "ValidationFailedError",
-    "DegreeMismatchError", "InvalidParamsError",
+    "MissingStepError", "WindowSizeError", "DegreeMismatchError",
+    "InvalidParamsError",
     # closedform
     "FormulaContext", "degree_formula",
     "schur_formula", "order_two_formula", "ZeroCoefficientError",

@@ -200,17 +200,22 @@ def validation_to_json(report: ValidationReport) -> dict:
     }
 
 
-def verify_records(spec: RecurrenceSpec, n_max: int, *, allow_zero_v: bool = False) -> tuple[list[dict], bool]:
+def _record_ok(record: dict) -> bool:
+    """A verify record's verdict: the three resultants agree and the
+    degree, leading and constant cross-checks hold."""
+    return record["match"] and record["degree_match"] and record["leading_match"] and record["constant_match"]
+
+
+def verify_records(spec: RecurrenceSpec, n_max: int) -> tuple[list[dict], bool]:
     """One record per n in d+1..n_max; the caller must have validated.
 
     Each record carries the generated degree next to the closed-form
     degree, the leading/constant cross-checks, and the three resultant
     values with their match flag.
     """
-    seq = generate(spec, n_max, allow_zero_v=allow_zero_v)
-    ctx = FormulaContext(spec, allow_zero_v=allow_zero_v)
+    seq = generate(spec, n_max)
+    ctx = FormulaContext(spec)
     records = []
-    all_ok = True
     for n in range(spec.d + 1, n_max + 1):
         r_n, r_prev = seq[n], seq[n - 1]
         formula = ctx.resultant_formula(n)
@@ -219,22 +224,21 @@ def verify_records(spec: RecurrenceSpec, n_max: int, *, allow_zero_v: bool = Fal
         degree_ok = r_n.degree() == degree_formula(spec, n)
         leading_ok = r_n.leading_coeff() == ctx.leading_term(n)
         constant_ok = r_n.evaluate(Scalar(spec.descriptor, 0)) == ctx.constant_value(n)
-        match = formula == sylvester == euclid
-        record = {
-            "n": n,
-            "degree": r_n.degree(),
-            "degree_formula": degree_formula(spec, n),
-            "degree_match": degree_ok,
-            "leading_match": leading_ok,
-            "constant_match": constant_ok,
-            "formula": formula.to_text(),
-            "sylvester": sylvester.to_text(),
-            "euclid": euclid.to_text(),
-            "match": match,
-        }
-        records.append(record)
-        all_ok = all_ok and match and degree_ok and leading_ok and constant_ok
-    return records, all_ok
+        records.append(
+            {
+                "n": n,
+                "degree": r_n.degree(),
+                "degree_formula": degree_formula(spec, n),
+                "degree_match": degree_ok,
+                "leading_match": leading_ok,
+                "constant_match": constant_ok,
+                "formula": formula.to_text(),
+                "sylvester": sylvester.to_text(),
+                "euclid": euclid.to_text(),
+                "match": formula == sylvester == euclid,
+            }
+        )
+    return records, all(map(_record_ok, records))
 
 
 def _base_report(command: str, spec: RecurrenceSpec, instance: str) -> dict:
@@ -254,17 +258,20 @@ def _base_report(command: str, spec: RecurrenceSpec, instance: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _load_or_exit(path: str) -> RecurrenceSpec | int:
+def _checked_instance(args, n: int, flag: str, first: int) -> tuple[RecurrenceSpec, ValidationReport] | int:
+    """Load args.instance, require n >= d + first and validate steps
+    d+1..n: the one validation a command runs before computing anything.
+    On failure print why and return the exit code."""
     try:
-        return load_instance(path)
+        spec = load_instance(args.instance)
     except InstanceFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _validate_or_exit(spec: RecurrenceSpec, up_to: int, allow_zero_v: bool) -> ValidationReport | int:
+    if n < spec.d + first:
+        print(f"error: {flag} must be >= {'d+1' if first else 'd'} = {spec.d + first}", file=sys.stderr)
+        return 2
     try:
-        report = validate(spec, up_to, allow_zero_v=allow_zero_v)
+        report = validate(spec, n, allow_zero_v=args.allow_zero_v)
     except MissingStepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -273,22 +280,17 @@ def _validate_or_exit(spec: RecurrenceSpec, up_to: int, allow_zero_v: bool) -> V
         return 3
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    return report
+    return spec, report
 
 
 def cmd_sequence(args) -> int:
-    spec = _load_or_exit(args.instance)
-    if isinstance(spec, int):
-        return spec
     n_max = args.n
-    if n_max < spec.d:
-        print(f"error: --n must be >= d = {spec.d}", file=sys.stderr)
-        return 2
-    report = _validate_or_exit(spec, n_max, args.allow_zero_v)
-    if isinstance(report, int):
-        return report
+    checked = _checked_instance(args, n_max, "--n", 0)
+    if isinstance(checked, int):
+        return checked
+    spec, report = checked
     try:
-        seq = generate(spec, n_max, allow_zero_v=args.allow_zero_v)
+        seq = generate(spec, n_max)
     except DegreeMismatchError as exc:
         print(f"MISMATCH: {exc}", file=sys.stderr)
         return 4
@@ -305,31 +307,22 @@ def cmd_sequence(args) -> int:
 
 
 def cmd_resultant(args) -> int:
-    spec = _load_or_exit(args.instance)
-    if isinstance(spec, int):
-        return spec
     n = args.n
-    if n < spec.d + 1:
-        print(f"error: --n must be >= d+1 = {spec.d + 1}", file=sys.stderr)
-        return 2
-    report = _validate_or_exit(spec, n, args.allow_zero_v)
-    if isinstance(report, int):
-        return report
+    checked = _checked_instance(args, n, "--n", 1)
+    if isinstance(checked, int):
+        return checked
+    spec, report = checked
     started = time.perf_counter()
     values: dict[str, Scalar] = {}
     try:
         if args.method in ("formula", "all"):
-            ctx = FormulaContext(spec, allow_zero_v=args.allow_zero_v)
-            values["formula"] = ctx.resultant_formula(n)
+            values["formula"] = FormulaContext(spec).resultant_formula(n)
         if args.method in ("sylvester", "euclid", "all"):
-            seq = generate(spec, n, allow_zero_v=args.allow_zero_v)
+            seq = generate(spec, n)
             if args.method in ("sylvester", "all"):
                 values["sylvester"] = resultant_sylvester(seq[n], seq[n - 1])
             if args.method in ("euclid", "all"):
                 values["euclid"] = resultant_euclid(seq[n], seq[n - 1])
-    except MissingStepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DegreeMismatchError as exc:
         print(f"MISMATCH: {exc}", file=sys.stderr)
         return 4
@@ -354,25 +347,20 @@ def cmd_resultant(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = _load_or_exit(args.instance)
-    if isinstance(spec, int):
-        return spec
     n_max = args.n_max
-    if n_max < spec.d + 1:
-        print(f"error: --n-max must be >= d+1 = {spec.d + 1}", file=sys.stderr)
-        return 2
-    report = _validate_or_exit(spec, n_max, args.allow_zero_v)
-    if isinstance(report, int):
-        return report
+    checked = _checked_instance(args, n_max, "--n-max", 1)
+    if isinstance(checked, int):
+        return checked
+    spec, report = checked
     started = time.perf_counter()
     try:
-        records, all_ok = verify_records(spec, n_max, allow_zero_v=args.allow_zero_v)
-    except (MissingStepError, DegreeMismatchError) as exc:
+        records, all_ok = verify_records(spec, n_max)
+    except DegreeMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, MissingStepError) else 4
+        return 4
     elapsed = time.perf_counter() - started
     for record in records:
-        status = "ok" if record["match"] and record["degree_match"] and record["leading_match"] and record["constant_match"] else "MISMATCH"
+        status = "ok" if _record_ok(record) else "MISMATCH"
         print(
             f"n={record['n']}: deg {record['degree']} formula {record['formula']} "
             f"sylvester {record['sylvester']} euclid {record['euclid']} [{status}]"
@@ -386,7 +374,7 @@ def cmd_verify(args) -> int:
     if args.json:
         _write_json(Path(args.json), doc)
     if not all_ok:
-        first_bad = next(r["n"] for r in records if not (r["match"] and r["degree_match"] and r["leading_match"] and r["constant_match"]))
+        first_bad = next(r["n"] for r in records if not _record_ok(r))
         print(f"MISMATCH first at n={first_bad}", file=sys.stderr)
         return 4
     print(f"all {len(records)} checks agree ({elapsed:.3f}s)")
@@ -459,7 +447,8 @@ def _alphas_below(d: int, m: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def _draw_instance(rng: Lcg, desc: FieldDescriptor, bounds: dict, index: int) -> RecurrenceSpec:
+def _draw_instance(rng: Lcg, desc: FieldDescriptor, bounds: dict, index: int) -> tuple[RecurrenceSpec, int]:
+    """A random instance and the last step index it has tables for."""
     d = rng.int_in(1, bounds["d_max"])
     m = rng.int_in(1, bounds["m_max"])
     k = rng.int_in(0, bounds["k_max"])
@@ -491,11 +480,12 @@ def _draw_instance(rng: Lcg, desc: FieldDescriptor, bounds: dict, index: int) ->
                 if not t.is_zero():
                     t_terms.append(TTerm(alpha=alphas[pick], poly=t))
         steps[n] = StepCoeffs(g=g, v=v, t_terms=tuple(t_terms))
-    return RecurrenceSpec(
+    spec = RecurrenceSpec(
         descriptor=desc, d=d, m=m, k=k, l=l,
         degrees=tuple(degrees), initials=initials, steps=steps,
         name=f"fuzz-{index:03d}",
     )
+    return spec, n_max
 
 
 def _resolve_n_max(setting, d: int, m: int) -> int:
@@ -505,15 +495,30 @@ def _resolve_n_max(setting, d: int, m: int) -> int:
         return d + 3 if m >= 2 else d + 6
     if isinstance(setting, int):
         return setting
-    return d + int(setting)
+    return d + int(setting[2:])
 
 
 def _parse_n_max(text: str):
+    """An absolute index as an int, or 'd+K' with K >= 1 kept as text."""
     text = text.strip()
     if text.startswith("d+"):
-        int(text[2:])
-        return text[2:]
+        if int(text[2:]) < 1:
+            raise argparse.ArgumentTypeError(f"'d+K' needs K >= 1, got {text!r}")
+        return text
     return int(text)
+
+
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _parse_field(text: str) -> FieldDescriptor:
@@ -526,6 +531,9 @@ def _parse_field(text: str) -> FieldDescriptor:
 
 
 def cmd_fuzz(args) -> int:
+    if isinstance(args.n_max, int) and args.n_max < args.d_max + 1:
+        print(f"error: --n-max must be >= d-max+1 = {args.d_max + 1}", file=sys.stderr)
+        return 2
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     desc = args.field
@@ -546,15 +554,13 @@ def cmd_fuzz(args) -> int:
         spec = None
         for _ in range(MAX_RESAMPLE):
             total_draws += 1
-            candidate = _draw_instance(rng, desc, bounds, index)
-            n_max = _resolve_n_max(args.n_max, candidate.d, candidate.m)
+            candidate, n_max = _draw_instance(rng, desc, bounds, index)
             if validate(candidate, n_max).ok:
                 spec = candidate
                 break
         if spec is None:
             print(f"error: no valid instance after {MAX_RESAMPLE} draws (index {index})", file=sys.stderr)
             return 5
-        n_max = _resolve_n_max(args.n_max, spec.d, spec.m)
         file_name = f"instance_{index:03d}.json"
         _write_json(out_dir / file_name, spec_to_json(spec, seed=args.seed))
         try:
@@ -594,14 +600,7 @@ def cmd_fuzz(args) -> int:
         "seed": args.seed,
         "count": args.count,
         "field": field_to_json(desc),
-        "bounds": {
-            "d_max": args.d_max,
-            "m_max": args.m_max,
-            "k_max": args.k_max,
-            "i_max": args.i_max,
-            "coeff_bound": args.coeff_bound,
-            "n_max": args.n_max if args.n_max is None or isinstance(args.n_max, int) else f"d+{args.n_max}",
-        },
+        "bounds": bounds,
         "branch_coverage": {"edge": edge_count, "normal": len(instances) - edge_count},
         "total_draws": total_draws,
         "instances": instances,
@@ -656,19 +655,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     fuzz = sub.add_parser("fuzz", help="verify randomized instances; dump them for replay")
     fuzz.add_argument("--seed", type=int, required=True)
-    fuzz.add_argument("--count", type=int, required=True)
-    fuzz.add_argument("--d-max", type=int, default=2)
-    fuzz.add_argument("--m-max", type=int, default=2)
-    fuzz.add_argument("--k-max", type=int, default=3)
-    fuzz.add_argument("--i-max", type=int, default=3)
+    fuzz.add_argument("--count", type=_int_at_least(0), required=True)
+    fuzz.add_argument("--d-max", type=_int_at_least(1), default=2)
+    fuzz.add_argument("--m-max", type=_int_at_least(1), default=2)
+    fuzz.add_argument("--k-max", type=_int_at_least(0), default=3)
+    fuzz.add_argument("--i-max", type=_int_at_least(0), default=3)
     fuzz.add_argument(
         "--n-max",
         type=_parse_n_max,
         default=None,
-        help="absolute index or 'd+K'; default d+3 for m >= 2, d+6 for m = 1",
+        help="absolute index >= d-max+1 or 'd+K' with K >= 1; default d+3 for m >= 2, d+6 for m = 1",
     )
     fuzz.add_argument("--field", type=_parse_field, default=prime_field(10007), help="'rational' or a prime (default 10007)")
-    fuzz.add_argument("--coeff-bound", type=int, default=5, help="coefficients drawn from [-B, B] (default 5)")
+    fuzz.add_argument("--coeff-bound", type=_int_at_least(1), default=5, help="coefficients drawn from [-B, B], B >= 1 (default 5)")
     fuzz.add_argument("--out", required=True, metavar="DIR")
     fuzz.set_defaults(func=cmd_fuzz)
     return parser

@@ -44,13 +44,7 @@ from __future__ import annotations
 
 from .field import Scalar
 from .poly import Poly
-from .recurrence import (
-    RecurrenceSpec,
-    ValidationFailedError,
-    edge_base,
-    edge_branch,
-    validate,
-)
+from .recurrence import RecurrenceSpec, edge_base, edge_branch
 from .resultant import resultant_sylvester
 
 __all__ = [
@@ -87,17 +81,19 @@ def degree_formula(spec: RecurrenceSpec, n: int) -> int:
 
 class FormulaContext:
     """The one-step closed forms of one instance, evaluated by a forward
-    pass whose per-step values are kept for later queries."""
+    pass whose per-step values are kept for later queries.
 
-    def __init__(self, spec: RecurrenceSpec, *, allow_zero_v: bool = False):
+    Precondition for every query at n: `validate(spec, n)` accepts the
+    instance (with or without allow_zero_v); nothing here checks it.
+    """
+
+    def __init__(self, spec: RecurrenceSpec):
         self.spec = spec
-        self.allow_zero_v = allow_zero_v
         # index s holds deg r_s, L_s and C_s; index s - d holds R_s
         self._deg = list(spec.degrees)
         self._lead = [r.leading_coeff() for r in spec.initials]
         self._const = [r.coeff_at(0) for r in spec.initials]
         self._resultants: list[Scalar] = []
-        self._validated_to = spec.d
 
     def _advance(self, n: int) -> None:
         """Extend deg r_s, L_s and C_s to s = n."""
@@ -139,19 +135,11 @@ class FormulaContext:
         return self._resultants[0]
 
     def resultant_formula(self, n: int) -> Scalar:
-        """Res(r_n, r_{n-1}) by the closed form, for n >= d+1.
-
-        Validates the instance once up to n.
-        """
+        """Res(r_n, r_{n-1}) by the closed form, for n >= d+1."""
         spec = self.spec
         d, m, l = spec.d, spec.m, spec.l
         if n < d + 1:
             raise ValueError(f"resultant_formula needs n >= d+1 = {d + 1}")
-        if n > self._validated_to:
-            report = validate(spec, n, allow_zero_v=self.allow_zero_v)
-            if not report.ok:
-                raise ValidationFailedError(report)
-            self._validated_to = n
         self._advance(n)
         self.base_resultant()
         deg, lead, const, resultants = self._deg, self._lead, self._const, self._resultants

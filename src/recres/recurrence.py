@@ -22,10 +22,10 @@ instance is a closed, serializable object (the JSON schema lives in
 recres.cli).
 
 `validate` checks every hypothesis the closed forms in
-recres.closedform rely on; `generate` iterates the step and asserts
-each produced degree against the closed-form degree, so a violated
-hypothesis surfaces immediately as DegreeMismatchError rather than as
-a silently wrong resultant.
+recres.closedform rely on; `generate` trusts its caller to have run it,
+iterates the step and asserts each produced degree against the
+closed-form degree, so a violated hypothesis surfaces immediately as
+DegreeMismatchError rather than as a silently wrong resultant.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ __all__ = [
     "order_two_recurrence",
     "MissingStepError",
     "WindowSizeError",
-    "ValidationFailedError",
     "DegreeMismatchError",
     "InvalidParamsError",
 ]
@@ -71,14 +70,6 @@ class MissingStepError(KeyError):
 
 class WindowSizeError(ValueError):
     """step() received a window whose length is not d+1."""
-
-
-class ValidationFailedError(ValueError):
-    """Operation required a valid instance; carries the report."""
-
-    def __init__(self, report: "ValidationReport"):
-        super().__init__(str(report))
-        self.report = report
 
 
 class DegreeMismatchError(AssertionError):
@@ -318,27 +309,17 @@ def step(spec: RecurrenceSpec, window: Sequence[Poly], n: int) -> Poly:
     return result + trailing
 
 
-def generate(
-    spec: RecurrenceSpec,
-    upto: int,
-    *,
-    allow_zero_v: bool = False,
-    skip_validation: bool = False,
-) -> list[Poly]:
+def generate(spec: RecurrenceSpec, upto: int) -> list[Poly]:
     """Produce [r_0, ..., r_upto]; requires upto >= d.
 
-    Validates the instance first (ValidationFailedError carries the
-    report) and asserts every generated degree against the closed-form
-    degree (DegreeMismatchError).
+    Does not validate: the caller runs `validate` up to upto first.
+    Asserts every generated degree against the closed-form degree
+    (DegreeMismatchError).
     """
     from .closedform import degree_formula  # deferred: closedform imports this module
 
     if upto < spec.d:
         raise ValueError(f"need upto >= d = {spec.d}, got {upto}")
-    if not skip_validation:
-        report = validate(spec, upto, allow_zero_v=allow_zero_v)
-        if not report.ok:
-            raise ValidationFailedError(report)
     seq = list(spec.initials)
     for n in range(spec.d + 1, upto + 1):
         window = seq[-1 : -spec.d - 2 : -1]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from recres import Poly, RecurrenceSpec, Scalar, StepCoeffs, TTerm, validate
+from recres.cli import _alphas_below
 
 
 def rand_scalar(rng: random.Random, desc, lo=-9, hi=9, nonzero=False) -> Scalar:
@@ -23,20 +24,6 @@ def rand_poly(rng: random.Random, desc, degree: int, lo=-9, hi=9) -> Poly:
 
 def rand_nonzero_poly(rng: random.Random, desc, max_degree: int, lo=-9, hi=9) -> Poly:
     return rand_poly(rng, desc, rng.randint(0, max_degree), lo, hi)
-
-
-def alphas_below(d: int, m: int) -> list[tuple[int, ...]]:
-    out = []
-
-    def rec(prefix, budget):
-        if len(prefix) == d + 1:
-            out.append(tuple(prefix))
-            return
-        for v in range(budget + 1):
-            rec(prefix + [v], budget - v)
-
-    rec([], m - 1)
-    return sorted(out)
 
 
 def rand_instance(
@@ -60,7 +47,7 @@ def rand_instance(
         degrees = sorted(rng.randint(0, i_max) for _ in range(d + 1))
         initials = tuple(rand_poly(rng, desc, deg, -bound, bound) for deg in degrees)
         n_max = d + n_max_extra
-        alphas = alphas_below(d, m)
+        alphas = _alphas_below(d, m)
         steps = {}
         for n in range(d + 1, n_max + 1):
             g = rand_poly(rng, desc, k, -bound, bound)

@@ -3,9 +3,10 @@ a rename in recres must fail here, not only when the benchmark runs."""
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
-import recres.cli  # noqa: F401  -- Tracer.install rebinds names in every loaded recres module
+import recres.cli  # imported up front: Tracer.install rebinds names in every loaded recres module
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -41,3 +42,33 @@ def test_tracer_installs_and_restores():
         tracer.uninstall()
     for module_name, attr, original in originals:
         assert getattr(importlib.import_module(module_name), attr) is original
+
+
+def test_each_command_validates_once(tmp_path):
+    """`validate` runs once per command, called by the command itself (the
+    traced benchmark's gate), and once per draw in `fuzz`."""
+    repo = TRACING.parent.parent
+    instance = str(repo / "instances" / "nonlinear_m2.json")
+    fuzz_out = tmp_path / "fz"
+    commands = {
+        "sequence": ["sequence", instance, "--n", "4"],
+        "resultant": ["resultant", instance, "--n", "4", "--method", "all"],
+        "verify": ["verify", instance, "--n-max", "4"],
+        "fuzz": ["fuzz", "--seed", "1", "--count", "3", "--d-max", "1", "--k-max", "2", "--i-max", "2", "--out", str(fuzz_out)],
+    }
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        counts = {}
+        for name, argv in commands.items():
+            first = len(tracer.spans)
+            assert recres.cli.main(argv) == 0, name
+            counts[name] = tracer.summary(first)["recurrence.validate"]
+    finally:
+        tracer.uninstall()
+    total_draws = json.loads((fuzz_out / "report.json").read_text())["total_draws"]
+    assert counts["sequence"]["calls"] == 1
+    for name in ("resultant", "verify"):
+        assert counts[name]["calls"] == counts[name]["cmd_calls"] == 1, name
+    assert counts["fuzz"]["calls"] == counts["fuzz"]["cmd_calls"] == total_draws

@@ -10,6 +10,7 @@ from recres.cli import (
     InstanceFormatError,
     Lcg,
     _draw_nonzero,
+    build_parser,
     load_instance,
     main,
     spec_from_json,
@@ -58,20 +59,28 @@ def test_sequence_json_output(tmp_path, capsys):
     assert doc["degrees"] == [0, 1, 2, 3, 4]
 
 
-def test_sequence_rejects_zero_v(tmp_path, capsys):
+# the command's one validation is the only place a zero v_n is refused or let through
+ZERO_V_COMMANDS = pytest.mark.parametrize(
+    "command", [["sequence"], ["resultant", "--method", "formula"]], ids=["sequence", "resultant"]
+)
+
+
+@ZERO_V_COMMANDS
+def test_sequence_rejects_zero_v(tmp_path, capsys, command):
     doc = schur_doc()
     doc["steps"]["2"]["v"] = "0"
     path = write_doc(tmp_path, doc)
-    assert main(["sequence", path, "--n", "3"]) == 3
+    assert main([command[0], path, "--n", "3", *command[1:]]) == 3
     err = capsys.readouterr().err
     assert "VZero" in err and "n=2" in err
 
 
-def test_sequence_allow_zero_v_downgrades(tmp_path, capsys):
+@ZERO_V_COMMANDS
+def test_sequence_allow_zero_v_downgrades(tmp_path, capsys, command):
     doc = schur_doc()
     doc["steps"]["2"]["v"] = "0"
     path = write_doc(tmp_path, doc)
-    assert main(["sequence", path, "--n", "3", "--allow-zero-v"]) == 0
+    assert main([command[0], path, "--n", "3", *command[1:], "--allow-zero-v"]) == 0
     captured = capsys.readouterr()
     assert "warning" in captured.err
 
@@ -320,6 +329,37 @@ def test_fuzz_tiny_prime_field(tmp_path, capsys):
     out = tmp_path / "fz2"
     assert main(["fuzz", "--seed", "1", "--count", "20", "--field", "2", "--out", str(out)]) == 0
     assert json.loads((out / "report.json").read_text())["all_match"] is True
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--count", "-1"],
+        ["--d-max", "-1"],
+        ["--m-max", "-1"],
+        ["--k-max", "-1"],
+        ["--i-max", "-1"],
+        ["--coeff-bound", "0"],
+        ["--coeff-bound", "-3"],
+        ["--n-max", "d+0"],
+        ["--n-max", "d+-1"],
+        ["--n-max", "0"],
+        ["--n-max", "2"],
+    ],
+    ids=" ".join,
+)
+def test_fuzz_rejects_out_of_range_bounds(tmp_path, capsys, flags):
+    out = tmp_path / "fz"
+    argv = ["fuzz", "--seed", "1", "--count", "1", "--out", str(out), *flags]
+    if flags[0] == "--n-max" and not flags[1].startswith("d+"):
+        # an absolute index parses; the command refuses it before any draw
+        assert main(argv) == 2
+        assert "--n-max must be >= d-max+1 = 3" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
 
 
 def test_fuzz_rejects_composite_field(capsys):

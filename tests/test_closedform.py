@@ -8,7 +8,6 @@ from recres import (
     RecurrenceSpec,
     Scalar,
     StepCoeffs,
-    ValidationFailedError,
     ZeroCoefficientError,
     degree_formula,
     generate,
@@ -180,17 +179,15 @@ def test_resultant_formula_positive_l_instance():
 
 
 def test_resultant_formula_validates():
+    # neither FormulaContext nor generate validates; on the zero-v open case
+    # (which validate accepts only with allow_zero_v) formula and truth are both 0
     bad = RecurrenceSpec(
         descriptor=Q, d=1, m=1, k=1, l=0,
         degrees=(0, 1), initials=(Poly.one(Q), Poly.x(Q)),
         steps={2: StepCoeffs(g=Poly.x(Q), v=Scalar(Q, 0))},
     )
-    with pytest.raises(ValidationFailedError):
-        FormulaContext(bad).resultant_formula(2)
-    # the zero-v open case: with the flag, formula and truth are both 0
-    relaxed = FormulaContext(bad, allow_zero_v=True)
-    seq = generate(bad, 2, allow_zero_v=True)
-    assert relaxed.resultant_formula(2).is_zero()
+    seq = generate(bad, 2)
+    assert FormulaContext(bad).resultant_formula(2).is_zero()
     assert resultant_sylvester(seq[2], seq[1]).is_zero()
 
 

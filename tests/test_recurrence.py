@@ -11,7 +11,6 @@ from recres import (
     Scalar,
     StepCoeffs,
     TTerm,
-    ValidationFailedError,
     WindowSizeError,
     generate,
     linear_recurrence,
@@ -101,19 +100,6 @@ def test_generate_n_equals_d_returns_initials():
         generate(spec, 0)
 
 
-def test_generate_requires_validity():
-    bad = schur_recurrence(ones(Q, 5), [Scalar(Q, 0)] * 5, ones(Q, 5))
-    steps = dict(bad.steps)
-    steps[2] = StepCoeffs(g=steps[2].g, v=Scalar(Q, 0))
-    bad = RecurrenceSpec(
-        descriptor=Q, d=1, m=1, k=1, l=0, degrees=bad.degrees,
-        initials=bad.initials, steps=steps,
-    )
-    with pytest.raises(ValidationFailedError) as exc:
-        generate(bad, 4)
-    assert any(v.code == "VZero" and v.n == 2 for v in exc.value.report.violations)
-
-
 def test_degree_guard_catches_broken_instances():
     # k = 0 and m = 1: the trailing term ties the top degree at every step and
     # can cancel it; at n = 3 it does, and the degree guard must fire
@@ -129,7 +115,7 @@ def test_degree_guard_catches_broken_instances():
     assert not report.ok
     assert any(v.code == "DegenerateDominance" for v in report.violations)
     with pytest.raises(DegreeMismatchError) as exc:
-        generate(spec, 3, skip_validation=True)
+        generate(spec, 3)
     assert exc.value.n == 3
 
 

@@ -16,8 +16,12 @@ elimination over Q on a denominator-cleared integer matrix (rescaled
 back exactly).  `resultant_euclid` instead runs a remainder sequence:
 Res(f, g) = (-1)^{deg f * deg g} * lc(g)^{deg f - deg r} * Res(g, r)
 with r the remainder of f mod g, bottoming out at the constant rule
-Res(f, c) = c^{deg f}.  The two must agree everywhere; that agreement
-is this package's core differential check.
+Res(f, c) = c^{deg f}.  Over Q each remainder is split into its content
+c and primitive part P (`Poly.primitive`) and the sequence carries P,
+using Res(g, c P) = c^{deg g} Res(g, P), so the remainders stay integer
+vectors instead of growing ever larger denominators.  The two routes
+must agree everywhere; that agreement is this package's core
+differential check.
 
 Conventions for degenerate inputs: Res with exactly one zero argument
 is 0, two nonzero constants give 1 (empty matrix), and two zero
@@ -26,12 +30,11 @@ polynomials are rejected.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable
 
 from .field import DescriptorMismatch, FieldDescriptor, Scalar
-from .poly import Poly
+from .poly import Poly, _integral
 
 __all__ = [
     "Matrix",
@@ -205,11 +208,9 @@ def _det_rational(rows: list[list[Fraction]]) -> Fraction:
     int_rows: list[list[int]] = []
     scale = 1
     for row in rows:
-        lcm = 1
-        for v in row:
-            lcm = math.lcm(lcm, v.denominator)
-        scale *= lcm
-        int_rows.append([int(v * lcm) for v in row])
+        ints, den = _integral(row)
+        scale *= den
+        int_rows.append(ints)
     return Fraction(_det_bareiss(int_rows), scale)
 
 
@@ -263,7 +264,11 @@ def resultant_euclid(f: Poly, g: Poly) -> Scalar:
         if r.is_zero():
             return Scalar(desc, 0)
         sign += n * m
-        acc = acc * (g.leading_coeff() ** (n - r.degree()))
+        factor = g.leading_coeff() ** (n - r.degree())
+        if not desc.is_prime_field:  # over F_p the content is 1
+            c, r = r.primitive()
+            factor = factor * c**m
+        acc = acc * factor
         f, g = g, r
     if sign % 2:
         acc = -acc

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
-from recres import Poly, RecurrenceSpec, Scalar, StepCoeffs, TTerm, validate
+from recres import Poly, RecurrenceSpec, Scalar, StepCoeffs, TTerm, rationals, validate
 from recres.cli import _alphas_below
 
 
@@ -20,6 +21,14 @@ def rand_poly(rng: random.Random, desc, degree: int, lo=-9, hi=9) -> Poly:
     coeffs = [rng.randint(lo, hi) for _ in range(degree)]
     coeffs.append(rand_scalar(rng, desc, lo, hi, nonzero=True))
     return Poly(desc, coeffs)
+
+
+def rand_fraction_poly(rng: random.Random, degree: int, den_max=12) -> Poly:
+    """Random polynomial over Q of exactly the given degree whose
+    coefficients are fractions with denominators up to den_max."""
+    coeffs = [Fraction(rng.randint(-20, 20), rng.randint(1, den_max)) for _ in range(degree)]
+    coeffs.append(Fraction(rng.choice([-1, 1]) * rng.randint(1, 20), rng.randint(1, den_max)))
+    return Poly(rationals(), coeffs)
 
 
 def rand_nonzero_poly(rng: random.Random, desc, max_degree: int, lo=-9, hi=9) -> Poly:

@@ -72,3 +72,20 @@ def test_each_command_validates_once(tmp_path):
     for name in ("resultant", "verify"):
         assert counts[name]["calls"] == counts[name]["cmd_calls"] == 1, name
     assert counts["fuzz"]["calls"] == counts["fuzz"]["cmd_calls"] == total_draws
+
+
+def test_q_euclid_runs_through_poly_kernels():
+    """Over Q, `resultant --method euclid` reaches `Poly.__mul__` (in
+    `generate`) and `Poly.divrem` (in Euclid), the layers the traced
+    benchmark requires to be called."""
+    instance = str(TRACING.parent.parent / "instances" / "nonlinear_m2.json")
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert recres.cli.main(["resultant", instance, "--n", "5", "--method", "euclid"]) == 0
+        summary = tracer.summary()
+    finally:
+        tracer.uninstall()
+    assert summary["poly.divrem"]["calls"] > 0
+    assert summary["poly.mul"]["calls"] > 0

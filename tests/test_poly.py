@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from recres import (
     prime_field,
     rationals,
 )
-from helpers import rand_nonzero_poly
+from helpers import rand_fraction_poly, rand_nonzero_poly
 
 Q = rationals()
 F97 = prime_field(97)
@@ -136,6 +137,79 @@ def test_str_rendering():
     assert str(P(5)) == "5"
     assert str(P(Fraction(1, 2), 1)) == "x + 1/2"
     assert str(P(0, Fraction(3, 2))) == "3/2*x"
+
+
+# -- Q kernels on non-integral rationals ---------------------------------------
+
+
+def ref_mul(a, b):
+    """Schoolbook product of Fraction coefficient lists (ascending degree)."""
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def ref_divrem(a, b):
+    """Schoolbook long division of Fraction coefficient lists."""
+    a, db = list(a), len(b) - 1
+    q = [Fraction(0)] * max(len(a) - db, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c = a[i + db] / b[-1]
+        q[i] = c
+        for j, y in enumerate(b):
+            a[i + j] -= c * y
+    return q, a[:db]
+
+
+def check_against_reference(f, g):
+    a, b = [s.value for s in f.coeffs], [s.value for s in g.coeffs]
+    assert f * g == P(*ref_mul(a, b))
+    q, r = f.divrem(g)
+    ref_q, ref_r = ref_divrem(a, b)
+    assert (q, r) == (P(*ref_q), P(*ref_r))
+    assert q * g + r == f
+    assert r.degree() < g.degree()
+
+
+def test_q_kernels_match_fraction_reference():
+    rng = random.Random(31)
+    for _ in range(150):
+        f = rand_fraction_poly(rng, rng.randint(0, 9))
+        g = rand_fraction_poly(rng, rng.randint(0, 6))
+        check_against_reference(f, g)
+
+
+def test_q_kernels_edge_cases():
+    f = P(Fraction(1, 3), Fraction(-5, 4), Fraction(7, 6), Fraction(-9, 10))
+    negative_lead = P(Fraction(2, 5), Fraction(-3, 7))
+    constant = P(Fraction(-3, 8))
+    longer = P(Fraction(1, 2), 0, 0, 0, Fraction(5, 11))
+    for g in (negative_lead, constant, longer, f):
+        check_against_reference(f, g)
+    assert f.divrem(longer) == (Poly.zero(Q), f)
+    assert f.divrem(constant)[1].is_zero()
+    assert f * Poly.zero(Q) == Poly.zero(Q)
+
+
+def test_primitive_contract():
+    rng = random.Random(32)
+    for _ in range(40):
+        f = rand_fraction_poly(rng, rng.randint(0, 7)) * Scalar(Q, Fraction(rng.randint(1, 30), rng.randint(1, 30)))
+        c, part = f.primitive()
+        assert c * part == f
+        assert c.value > 0
+        ints = [s.value for s in part.coeffs]
+        assert all(v.denominator == 1 for v in ints)
+        assert math.gcd(*(v.numerator for v in ints)) == 1
+    assert P(-4, 6).primitive() == (Scalar(Q, 2), P(-2, 3))
+    assert P(Fraction(1, 2), Fraction(-1, 3)).primitive() == (Scalar(Q, Fraction(1, 6)), P(3, -2))
+    assert Poly.zero(Q).primitive() == (Scalar(Q, 1), Poly.zero(Q))
+    g = Poly(F97, [3, 6])
+    assert g.primitive() == (Scalar(F97, 1), g)
 
 
 # -- ring axioms, property based ---------------------------------------------

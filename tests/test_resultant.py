@@ -18,7 +18,7 @@ from recres import (
     resultant_sylvester,
     sylvester_matrix,
 )
-from helpers import rand_nonzero_poly, rand_scalar
+from helpers import rand_fraction_poly, rand_nonzero_poly, rand_scalar
 
 Q = rationals()
 FP = prime_field(10007)
@@ -190,6 +190,41 @@ def test_euclid_agrees_with_sylvester():
             f = rand_nonzero_poly(rng, desc, max_deg, -9, 9)
             g = rand_nonzero_poly(rng, desc, max_deg, -9, 9)
             assert resultant_euclid(f, g) == resultant_sylvester(f, g)
+
+
+def test_euclid_agrees_with_sylvester_on_non_integral_rationals():
+    rng = random.Random(24)
+    for _ in range(30):
+        f = rand_fraction_poly(rng, rng.randint(0, 8))
+        g = rand_fraction_poly(rng, rng.randint(0, 8))
+        assert resultant_euclid(f, g) == resultant_sylvester(f, g)
+    # a shared factor h: the remainder chain reaches 0
+    h = P(Fraction(-2, 3), Fraction(5, 7), Fraction(1, 4))
+    f, g = h * P(Fraction(1, 2), Fraction(-3, 5)), h * P(Fraction(7, 9), 0, Fraction(2, 11))
+    assert resultant_euclid(f, g).is_zero()
+    assert resultant_sylvester(f, g).is_zero()
+    # the chain ends in a constant: g = (x + 3/5) / 3, so
+    # Res(f, g) = lc(g)^2 * f(-3/5) = (1/9) * (9/25 + 1/2) = 43/450
+    f, g = P(Fraction(1, 2), 0, 1), P(Fraction(1, 5), Fraction(1, 3))
+    assert resultant_euclid(f, g) == resultant_sylvester(f, g) == Scalar(Q, Fraction(43, 450))
+
+
+def test_euclid_against_sympy_on_non_integral_rationals():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def to_sympy(poly):
+        return sum(sympy.Rational(c.value.numerator, c.value.denominator) * x**i for i, c in enumerate(poly.coeffs))
+
+    # sympy 1.14's `resultant` omits the sign (-1)^(deg f * deg g) when
+    # deg f < deg g (it gives Res(x, x^3 + 1) = -1, where its own Sylvester
+    # determinant is 1), so the pairs are drawn with deg f >= deg g.
+    rng = random.Random(25)
+    for _ in range(20):
+        degrees = sorted((rng.randint(1, 7), rng.randint(1, 7)), reverse=True)
+        f, g = (rand_fraction_poly(rng, degree) for degree in degrees)
+        expected = sympy.Rational(sympy.resultant(to_sympy(f), to_sympy(g), x))
+        assert resultant_euclid(f, g) == Scalar(Q, Fraction(int(expected.p), int(expected.q)))
 
 
 def test_symmetry():

@@ -16,7 +16,6 @@ from .field import (
     DescriptorMismatch,
     DivisionByZero,
     FieldDescriptor,
-    FieldKind,
     InvalidModulus,
     Scalar,
     is_prime,
@@ -25,11 +24,7 @@ from .field import (
 )
 from .poly import NEG_INFINITY, Poly
 from .resultant import (
-    BothConstantError,
     BothZeroError,
-    Matrix,
-    NotSquareError,
-    ZeroPolynomialError,
     determinant,
     resultant_euclid,
     resultant_sylvester,
@@ -65,14 +60,13 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # field
-    "FieldDescriptor", "FieldKind", "Scalar", "rationals", "prime_field", "is_prime",
+    "FieldDescriptor", "Scalar", "rationals", "prime_field", "is_prime",
     "DescriptorMismatch", "DivisionByZero", "InvalidModulus",
     # poly
     "Poly", "NEG_INFINITY",
     # resultant
-    "Matrix", "sylvester_matrix", "determinant",
-    "resultant_sylvester", "resultant_euclid",
-    "NotSquareError", "ZeroPolynomialError", "BothConstantError", "BothZeroError",
+    "sylvester_matrix", "determinant",
+    "resultant_sylvester", "resultant_euclid", "BothZeroError",
     # recurrence
     "RecurrenceSpec", "StepCoeffs", "TTerm", "ValidationReport", "Violation",
     "validate", "step", "generate",

@@ -146,6 +146,7 @@ def spec_from_json(doc) -> RecurrenceSpec:
             n = int(key)
         except ValueError:
             raise InstanceFormatError(f"step key {key!r} is not an integer") from None
+        _expect(n not in steps, f"step {n} appears twice")
         _expect(n >= d + 1, f"step {n} precedes d+1 = {d + 1}")
         _expect(isinstance(entry, dict), f"step {n} must be an object")
         g = poly_of(entry.get("g"), f"steps[{n}].g")
@@ -178,7 +179,8 @@ def load_instance(path: str) -> RecurrenceSpec:
             doc = json.load(handle)
     except OSError as exc:
         raise InstanceFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested past the decoder's depth
         raise InstanceFormatError(f"{path} is not valid JSON: {exc}") from exc
     return spec_from_json(doc)
 
@@ -356,7 +358,7 @@ def cmd_verify(args) -> int:
     try:
         records, all_ok = verify_records(spec, n_max)
     except DegreeMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"MISMATCH: {exc}", file=sys.stderr)
         return 4
     elapsed = time.perf_counter() - started
     for record in records:

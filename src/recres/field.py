@@ -16,12 +16,10 @@ written "a/b" or just "a", a prime-field scalar as a decimal integer in
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "FieldKind",
     "FieldDescriptor",
     "Scalar",
     "rationals",
@@ -78,46 +76,39 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class FieldKind(enum.Enum):
-    RATIONAL = "rational"
-    PRIME = "prime"
-
-
 @dataclass(frozen=True)
 class FieldDescriptor:
-    """The coefficient field: Q, or F_p for a prime modulus p.
+    """The coefficient field: Q when the modulus is None, else F_p.
 
-    The modulus is checked eagerly at construction; composite or
+    A modulus is checked eagerly at construction; composite or
     undersized moduli are rejected.
     """
 
-    kind: FieldKind
     modulus: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind is FieldKind.PRIME:
+        if self.modulus is not None:
             if not isinstance(self.modulus, int) or self.modulus < 2:
                 raise InvalidModulus(f"modulus must be a prime >= 2, got {self.modulus!r}")
             if not is_prime(self.modulus):
                 raise InvalidModulus(f"modulus {self.modulus} is not prime")
-        else:
-            if self.modulus is not None:
-                raise InvalidModulus("the rational field takes no modulus")
 
     @property
     def is_prime_field(self) -> bool:
-        return self.kind is FieldKind.PRIME
+        return self.modulus is not None
 
     def __str__(self) -> str:
-        return "Q" if self.kind is FieldKind.RATIONAL else f"F_{self.modulus}"
+        return "Q" if self.modulus is None else f"F_{self.modulus}"
 
 
 def rationals() -> FieldDescriptor:
-    return FieldDescriptor(FieldKind.RATIONAL)
+    return FieldDescriptor()
 
 
 def prime_field(p: int) -> FieldDescriptor:
-    return FieldDescriptor(FieldKind.PRIME, p)
+    if p is None:  # a missing modulus would name Q
+        raise InvalidModulus("modulus must be a prime >= 2, got None")
+    return FieldDescriptor(p)
 
 
 @dataclass(frozen=True, slots=True)

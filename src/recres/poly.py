@@ -37,20 +37,6 @@ __all__ = ["Poly", "NEG_INFINITY"]
 NEG_INFINITY: float = float("-inf")
 
 
-def _canon(descriptor: FieldDescriptor, v) -> "int | Fraction":
-    if isinstance(v, Scalar):
-        if v.descriptor != descriptor:
-            raise DescriptorMismatch(f"{descriptor} vs {v.descriptor}")
-        return v.value
-    if descriptor.is_prime_field:
-        if isinstance(v, Fraction):
-            if v.denominator != 1:
-                raise TypeError("prime-field coefficient must be an integer")
-            v = int(v)
-        return v % descriptor.modulus
-    return Fraction(v)
-
-
 def _integral(c: Sequence[Fraction]) -> tuple[list[int], int]:
     """Integers `ints` and a positive `den` with c[i] == ints[i] / den."""
     # star-unpack a list, not a generator: building the argument tuple from
@@ -82,7 +68,14 @@ class Poly:
 
     def __init__(self, descriptor: FieldDescriptor, coeffs: Iterable = ()):
         self.descriptor = descriptor
-        self._c = tuple(_strip([_canon(descriptor, v) for v in coeffs]))
+        c = []
+        for v in coeffs:
+            if not isinstance(v, Scalar):
+                v = Scalar(descriptor, v)  # canonicalizes the payload
+            elif v.descriptor != descriptor:
+                raise DescriptorMismatch(f"{descriptor} vs {v.descriptor}")
+            c.append(v.value)
+        self._c = tuple(_strip(c))
 
     @classmethod
     def _raw(cls, descriptor: FieldDescriptor, payloads: list) -> "Poly":
@@ -239,8 +232,8 @@ class Poly:
             raise ValueError("shift must be >= 0")
         if not self._c:
             return self
-        zero_payload = 0 if self.descriptor.is_prime_field else Fraction(0)
-        return Poly._raw(self.descriptor, [zero_payload] * powers + list(self._c))
+        zero = Scalar(self.descriptor, 0).value
+        return Poly._raw(self.descriptor, [zero] * powers + list(self._c))
 
     # -- division ----------------------------------------------------------
 

@@ -31,120 +31,46 @@ polynomials are rejected.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
 
 from .field import DescriptorMismatch, FieldDescriptor, Scalar
 from .poly import Poly, _integral
 
 __all__ = [
-    "Matrix",
     "sylvester_matrix",
     "determinant",
     "resultant_sylvester",
     "resultant_euclid",
-    "NotSquareError",
-    "ZeroPolynomialError",
-    "BothConstantError",
     "BothZeroError",
 ]
-
-
-class NotSquareError(ValueError):
-    """Determinant of a non-square matrix requested."""
-
-
-class ZeroPolynomialError(ValueError):
-    """A zero polynomial where a nonzero one is required."""
-
-
-class BothConstantError(ValueError):
-    """Sylvester matrix of two constants would be 0 x 0."""
 
 
 class BothZeroError(ValueError):
     """Res(0, 0) is undefined."""
 
 
-class Matrix:
-    """Immutable row-major matrix over one field."""
+def _zero_argument(f: Poly, g: Poly) -> bool:
+    """Whether Res(f, g) is 0 because one argument is the zero polynomial.
 
-    __slots__ = ("descriptor", "n_rows", "n_cols", "_rows")
-
-    def __init__(self, descriptor: FieldDescriptor, rows: Iterable[Iterable]):
-        self.descriptor = descriptor
-        canon = []
-        for row in rows:
-            canon.append(tuple(self._payload(v) for v in row))
-        if not canon or not canon[0]:
-            raise ValueError("matrix dimensions must be positive")
-        width = len(canon[0])
-        if any(len(r) != width for r in canon):
-            raise ValueError("ragged rows")
-        self._rows = tuple(canon)
-        self.n_rows = len(canon)
-        self.n_cols = width
-
-    def _payload(self, v):
-        if isinstance(v, Scalar):
-            if v.descriptor != self.descriptor:
-                raise DescriptorMismatch(f"{self.descriptor} vs {v.descriptor}")
-            return v.value
-        if self.descriptor.is_prime_field:
-            return int(v) % self.descriptor.modulus
-        return Fraction(v)
-
-    @classmethod
-    def _raw(cls, descriptor: FieldDescriptor, rows: list[tuple]) -> "Matrix":
-        m = object.__new__(cls)
-        m.descriptor = descriptor
-        m._rows = tuple(rows)
-        m.n_rows = len(rows)
-        m.n_cols = len(rows[0])
-        return m
-
-    def entry(self, i: int, j: int) -> Scalar:
-        return Scalar(self.descriptor, self._rows[i][j])
-
-    def row(self, i: int) -> tuple[Scalar, ...]:
-        return tuple(Scalar(self.descriptor, v) for v in self._rows[i])
-
-    @property
-    def is_square(self) -> bool:
-        return self.n_rows == self.n_cols
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and other.descriptor == self.descriptor
-            and other._rows == self._rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.descriptor, self._rows))
-
-    def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(Scalar(self.descriptor, v)) for v in row) for row in self._rows)
-        return f"Matrix({self.descriptor}, {self.n_rows}x{self.n_cols}: {body})"
-
-
-def sylvester_matrix(f: Poly, g: Poly) -> Matrix:
-    """Build Syl(f, g); at least one argument must be nonconstant."""
+    Rejects arguments over different fields and the undefined Res(0, 0).
+    """
     if f.descriptor != g.descriptor:
         raise DescriptorMismatch(f"{f.descriptor} vs {g.descriptor}")
-    if f.is_zero() or g.is_zero():
-        raise ZeroPolynomialError("Sylvester matrix needs nonzero polynomials")
+    if f.is_zero() and g.is_zero():
+        raise BothZeroError("Res(0, 0) is undefined")
+    return f.is_zero() or g.is_zero()
+
+
+def sylvester_matrix(f: Poly, g: Poly) -> list[list]:
+    """Syl(f, g) as rows of payloads, for nonzero f and g over one field.
+
+    Two constants give the empty matrix, whose determinant is 1.
+    """
     n, m = f.degree(), g.degree()
-    if n == 0 and m == 0:
-        raise BothConstantError("both polynomials are constants")
-    size = n + m
-    fz = 0 if f.descriptor.is_prime_field else Fraction(0)
-    fc, gc = f._c, g._c
-    rows = []
-    for i in range(m):
-        rows.append(tuple(fc[n - j + i] if 0 <= n - j + i <= n else fz for j in range(size)))
-    for i in range(n):
-        rows.append(tuple(gc[m - j + i] if 0 <= m - j + i <= m else fz for j in range(size)))
-    return Matrix._raw(f.descriptor, rows)
+    zero = Scalar(f.descriptor, 0).value
+    fc, gc = list(f._c[::-1]), list(g._c[::-1])
+    rows = [[zero] * i + fc + [zero] * (m - 1 - i) for i in range(m)]
+    rows += [[zero] * i + gc + [zero] * (n - 1 - i) for i in range(n)]
+    return rows
 
 
 def _det_prime(rows: list[list[int]], p: int) -> int:
@@ -179,8 +105,8 @@ def _det_bareiss(rows: list[list[int]]) -> int:
     """Fraction-free elimination; intermediate entries stay integral."""
     n = len(rows)
     sign = 1
-    prev = 1
-    for k in range(n - 1):
+    prev = 1  # the last pivot; after column n - 1 it is the determinant up to sign
+    for k in range(n):
         if rows[k][k] == 0:
             pivot_row = None
             for r in range(k + 1, n):
@@ -200,7 +126,7 @@ def _det_bareiss(rows: list[list[int]]) -> int:
                 (pk * ri[j] - lead * rk[j]) // prev for j in range(k + 1, n)
             ]
         prev = pk
-    return sign * rows[n - 1][n - 1]
+    return sign * prev
 
 
 def _det_rational(rows: list[list[Fraction]]) -> Fraction:
@@ -214,27 +140,22 @@ def _det_rational(rows: list[list[Fraction]]) -> Fraction:
     return Fraction(_det_bareiss(int_rows), scale)
 
 
-def determinant(matrix: Matrix) -> Scalar:
-    """Exact determinant of a square matrix."""
-    if not matrix.is_square:
-        raise NotSquareError(f"{matrix.n_rows}x{matrix.n_cols} matrix")
-    rows = [list(r) for r in matrix._rows]
-    if matrix.descriptor.is_prime_field:
-        return Scalar(matrix.descriptor, _det_prime(rows, matrix.descriptor.modulus))
-    return Scalar(matrix.descriptor, _det_rational(rows))
+def determinant(descriptor: FieldDescriptor, rows: list[list]) -> Scalar:
+    """Exact determinant of a square matrix given as rows of payloads.
+
+    The caller's rows are left unchanged: the eliminations only rebind or
+    swap whole rows, so a shallow copy of the row list protects them.
+    """
+    if descriptor.is_prime_field:
+        return Scalar(descriptor, _det_prime(list(rows), descriptor.modulus))
+    return Scalar(descriptor, _det_rational(rows))
 
 
 def resultant_sylvester(f: Poly, g: Poly) -> Scalar:
     """Res(f, g) as the Sylvester determinant."""
-    if f.descriptor != g.descriptor:
-        raise DescriptorMismatch(f"{f.descriptor} vs {g.descriptor}")
-    if f.is_zero() and g.is_zero():
-        raise BothZeroError("Res(0, 0) is undefined")
-    if f.is_zero() or g.is_zero():
+    if _zero_argument(f, g):
         return Scalar(f.descriptor, 0)
-    if f.degree() == 0 and g.degree() == 0:
-        return Scalar(f.descriptor, 1)
-    return determinant(sylvester_matrix(f, g))
+    return determinant(f.descriptor, sylvester_matrix(f, g))
 
 
 def resultant_euclid(f: Poly, g: Poly) -> Scalar:
@@ -243,11 +164,7 @@ def resultant_euclid(f: Poly, g: Poly) -> Scalar:
     An explicit loop with an accumulated scalar rather than recursion,
     so degree ~10^3 inputs cannot hit the interpreter stack limit.
     """
-    if f.descriptor != g.descriptor:
-        raise DescriptorMismatch(f"{f.descriptor} vs {g.descriptor}")
-    if f.is_zero() and g.is_zero():
-        raise BothZeroError("Res(0, 0) is undefined")
-    if f.is_zero() or g.is_zero():
+    if _zero_argument(f, g):
         return Scalar(f.descriptor, 0)
     desc = f.descriptor
     acc = Scalar(desc, 1)

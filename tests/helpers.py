@@ -5,8 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from recres import Poly, RecurrenceSpec, Scalar, StepCoeffs, TTerm, rationals, validate
-from recres.cli import _alphas_below
+from recres import Poly, RecurrenceSpec, Scalar, rationals, validate
+from recres.cli import Lcg, _draw_instance
 
 
 def rand_scalar(rng: random.Random, desc, lo=-9, hi=9, nonzero=False) -> Scalar:
@@ -47,34 +47,20 @@ def rand_instance(
     bound=5,
     max_tries=500,
 ) -> tuple[RecurrenceSpec, int]:
-    """A random instance that passes validation, plus its last step index."""
+    """A random instance that passes validation, plus its last step index.
+
+    Each try runs the fuzzer's drawer on a fresh seed taken from rng.
+    """
+    bounds = {
+        "d_max": d_max,
+        "m_max": m_max,
+        "k_max": k_max,
+        "i_max": i_max,
+        "coeff_bound": bound,
+        "n_max": f"d+{n_max_extra}",
+    }
     for _ in range(max_tries):
-        d = rng.randint(1, d_max)
-        m = rng.randint(1, m_max)
-        k = rng.randint(0, k_max)
-        l = rng.randint(0, k)
-        degrees = sorted(rng.randint(0, i_max) for _ in range(d + 1))
-        initials = tuple(rand_poly(rng, desc, deg, -bound, bound) for deg in degrees)
-        n_max = d + n_max_extra
-        alphas = _alphas_below(d, m)
-        steps = {}
-        for n in range(d + 1, n_max + 1):
-            g = rand_poly(rng, desc, k, -bound, bound)
-            t_terms = []
-            if k >= 2:
-                for alpha in rng.sample(alphas, k=min(len(alphas), rng.randint(0, 2))):
-                    t = Poly(desc, [0] + [rng.randint(-bound, bound) for _ in range(k - 1)])
-                    if not t.is_zero():
-                        t_terms.append(TTerm(alpha=alpha, poly=t))
-            steps[n] = StepCoeffs(
-                g=g,
-                v=rand_scalar(rng, desc, -bound, bound, nonzero=True),
-                t_terms=tuple(t_terms),
-            )
-        spec = RecurrenceSpec(
-            descriptor=desc, d=d, m=m, k=k, l=l,
-            degrees=tuple(degrees), initials=initials, steps=steps,
-        )
+        spec, n_max = _draw_instance(Lcg(rng.getrandbits(64)), desc, bounds, 0)
         if validate(spec, n_max).ok:
             return spec, n_max
     raise RuntimeError("could not draw a valid instance")

@@ -186,6 +186,15 @@ def test_verify_mismatch_exits_4(capsys, monkeypatch):
     assert "first at n=2" in err
 
 
+def test_verify_degree_mismatch_is_reported_as_mismatch(capsys, monkeypatch):
+    import recres.closedform as closedform_mod
+
+    real = closedform_mod.degree_formula
+    monkeypatch.setattr(closedform_mod, "degree_formula", lambda spec, n: real(spec, n) + 1)
+    assert main(["verify", str(SCHUR_FILE), "--n-max", "4"]) == 4
+    assert capsys.readouterr().err.startswith("MISMATCH: ")
+
+
 def test_verify_validation_failure_precedes_computation(tmp_path, capsys):
     doc = schur_doc()
     doc["degrees"] = [1, 0]
@@ -206,6 +215,20 @@ def test_load_rejects_bad_json(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{}", b"[" * 100_000],
+    ids=["not-utf8", "nested-too-deep"],
+)
+def test_load_rejects_undecodable_files(tmp_path, capsys, content):
+    path = tmp_path / "broken.json"
+    path.write_bytes(content)
+    with pytest.raises(InstanceFormatError):
+        load_instance(str(path))
+    assert main(["sequence", str(path), "--n", "3"]) == 2
+    assert "is not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "mutate",
     [
         lambda doc: doc.pop("schema"),
@@ -217,6 +240,7 @@ def test_load_rejects_bad_json(tmp_path):
         lambda doc: doc["steps"]["2"].update(v="1/0"),
         lambda doc: doc["steps"].update({"x": doc["steps"]["2"]}),
         lambda doc: doc["steps"]["2"].update(t=[{"alpha": [1], "coeffs": ["0", "1"]}]),
+        lambda doc: doc["steps"].update({"02": doc["steps"]["2"]}),
     ],
 )
 def test_load_rejects_malformed_documents(tmp_path, mutate):

@@ -58,13 +58,6 @@ def test_is_prime_small_table():
         assert is_prime(n) == (n in primes_below_100)
 
 
-def test_rational_field_rejects_modulus():
-    from recres import FieldDescriptor, FieldKind
-
-    with pytest.raises(InvalidModulus):
-        FieldDescriptor(FieldKind.RATIONAL, 7)
-
-
 def test_descriptor_mismatch_is_an_error():
     with pytest.raises(DescriptorMismatch):
         Scalar(Q, 1) + Scalar(F7, 1)

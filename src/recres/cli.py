@@ -173,10 +173,21 @@ def spec_from_json(doc) -> RecurrenceSpec:
     )
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members as a dict; a key given twice is an error
+    (plain `json.load` would keep the last value silently)."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise InstanceFormatError(f"key {key!r} appears twice in one object")
+        doc[key] = value
+    return doc
+
+
 def load_instance(path: str) -> RecurrenceSpec:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+            doc = json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise InstanceFormatError(f"cannot read {path}: {exc}") from exc
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:

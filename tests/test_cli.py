@@ -252,6 +252,18 @@ def test_load_rejects_malformed_documents(tmp_path, mutate):
     assert main(["sequence", path, "--n", "3"]) == 2
 
 
+def test_load_rejects_a_key_given_twice(tmp_path, capsys):
+    # json.dumps cannot repeat a key, so the first "2" entry is spliced in as text
+    doc = schur_doc()
+    first = dict(doc["steps"]["2"], v="5")
+    text = json.dumps(doc).replace('"steps": {', '"steps": {"2": ' + json.dumps(first) + ", ", 1)
+    assert text.count('"2": {') == 2
+    path = tmp_path / "instance.json"
+    path.write_text(text)
+    assert main(["resultant", str(path), "--n", "2", "--method", "formula"]) == 2
+    assert "'2' appears twice" in capsys.readouterr().err
+
+
 def test_spec_json_roundtrip():
     spec = load_instance(str(ORDER3_FILE))
     assert spec_from_json(spec_to_json(spec)) == spec

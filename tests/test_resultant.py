@@ -1,5 +1,8 @@
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,13 +11,16 @@ from recres import (
     Poly,
     Scalar,
     determinant,
+    generate,
     prime_field,
     rationals,
     resultant_euclid,
     resultant_sylvester,
     sylvester_matrix,
+    validate,
 )
-from helpers import rand_fraction_poly, rand_nonzero_poly, rand_scalar
+from recres.cli import spec_from_json
+from helpers import rand_fraction_poly, rand_nonzero_poly, rand_poly, rand_scalar
 
 Q = rationals()
 FP = prime_field(10007)
@@ -132,6 +138,89 @@ def test_determinant_singular():
     row = [rand_scalar(rng, FP).value for _ in range(3)]
     dup = [row, [s + s for s in row], [rand_scalar(rng, FP).value for _ in range(3)]]
     assert determinant(FP, dup).is_zero()
+
+
+def worst_case_accumulation(p, size):
+    """L U mod p with every multiplier -1 and every reduced pivot row
+    [1, 1, ..., 1]: in each column every lower slot gains (p - 1)^2, the
+    most the packed F_p elimination can add."""
+    lower = [[1 if i == j else (p - 1 if i > j else 0) for j in range(size)] for i in range(size)]
+    upper = [[1 if i <= j else 0 for j in range(size)] for i in range(size)]
+    return [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*upper)] for row in lower]
+
+
+def oracle_matrices(rng, p):
+    """Square matrices of dimension 0..60 with their labels: Sylvester
+    matrices of random polynomials, two that stress slot accumulation, and
+    dense ones with unreduced and negative payloads, singular or not."""
+    desc = prime_field(p)
+    for size in (0, 1, 2, 3, 4, 7, 12, 20, 33, 60):
+        yield f"all-p-1-{size}", [[p - 1] * size for _ in range(size)]
+        yield f"worst-case-{size}", worst_case_accumulation(p, size)
+        if size >= 1:
+            deg_f = rng.randint(0, size)
+            f, g = rand_poly(rng, desc, deg_f), rand_poly(rng, desc, size - deg_f)
+            yield f"sylvester-{deg_f}-{size - deg_f}", sylvester_matrix(f, g)
+        if size > 33:
+            continue  # the Bareiss oracle of a dense 60 x 60 matrix mod 2^61 - 1 takes ~0.8 s
+        dense = [[rng.randint(-3 * p, 3 * p) for _ in range(size)] for _ in range(size)]
+        yield f"dense-{size}", dense
+        if size >= 2:
+            i, j = rng.sample(range(size), 2)
+            duplicated = [list(row) for row in dense]
+            duplicated[j] = list(dense[i])
+            yield f"duplicated-row-{size}", duplicated
+            # a multiple of row i mod p, but not over Z
+            scale = rng.randint(-p, p)
+            scaled = [list(row) for row in dense]
+            scaled[j] = [scale * x - 2 * p for x in dense[i]]
+            yield f"scaled-row-{size}", scaled
+
+
+@pytest.mark.parametrize("p", [2, 3, 10007, 1000003, 2**61 - 1])
+def test_prime_determinant_against_bareiss_oracle(p):
+    # the Q Bareiss route shares no code with the packed F_p elimination
+    desc = prime_field(p)
+    rng = random.Random(p)
+    for label, rows in oracle_matrices(rng, p):
+        before = [list(row) for row in rows]
+        expected = determinant(Q, rows).value
+        assert expected.denominator == 1
+        assert determinant(desc, rows) == Scalar(desc, expected.numerator), label
+        assert rows == before, label
+
+
+INSTANCES = Path(__file__).resolve().parent.parent / "bench" / "instances.py"
+
+
+def load_instances():
+    spec = importlib.util.spec_from_file_location("bench_instances", INSTANCES)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("p", [10007, 1000003])
+def test_resultant_over_q_reduces_to_resultant_over_fp(p):
+    # for integer f, g and p dividing neither leading coefficient,
+    # Res_Q(f, g) mod p = Res_Fp(f mod p, g mod p); n = 7 is dimension 190.
+    # The benchmark's M2 instances have integer coefficients, |lc| and |v_n| in 2..5.
+    n_max = 7
+    instances = load_instances()
+    inst = instances.Instance("metamorphic-m2", None, instances.M2, n_max)
+    spec = spec_from_json(instances.instance_doc(inst, p))
+    assert validate(spec, n_max).ok
+    seq = generate(spec, n_max)
+    fp = prime_field(p)
+    for n in range(2, n_max + 1):
+        f, g = seq[n], seq[n - 1]
+        assert f.leading_coeff().value % p and g.leading_coeff().value % p
+        over_q = resultant_euclid(f, g).value
+        assert over_q.denominator == 1
+        reduced = [Poly(fp, [c.value.numerator for c in h.coeffs]) for h in (f, g)]
+        assert reduced[0].degree() + reduced[1].degree() == 3 * 2 ** (n - 1) - 2
+        assert resultant_sylvester(*reduced) == Scalar(fp, over_q.numerator)
 
 
 # -- resultants ---------------------------------------------------------------
@@ -271,8 +360,6 @@ def test_common_factor_means_zero():
 
 
 def rand_poly_nonconstant(rng, desc):
-    from helpers import rand_poly
-
     return rand_poly(rng, desc, rng.randint(1, 4))
 
 

@@ -71,10 +71,15 @@ def field_to_json(desc: FieldDescriptor):
     return {"prime": desc.modulus} if desc.is_prime_field else "rational"
 
 
+def _is_int(x) -> bool:
+    # JSON true/false load as bools, which are ints to isinstance
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def field_from_json(obj) -> FieldDescriptor:
     if obj == "rational":
         return rationals()
-    if isinstance(obj, dict) and set(obj) == {"prime"} and isinstance(obj["prime"], int):
+    if isinstance(obj, dict) and set(obj) == {"prime"} and _is_int(obj["prime"]):
         try:
             return prime_field(obj["prime"])
         except InvalidModulus as exc:
@@ -115,15 +120,15 @@ def _expect(cond: bool, message: str) -> None:
 
 def spec_from_json(doc) -> RecurrenceSpec:
     _expect(isinstance(doc, dict), "top level must be an object")
-    _expect(doc.get("schema") == SCHEMA_VERSION, f"schema must be {SCHEMA_VERSION}")
+    _expect(_is_int(doc.get("schema")) and doc["schema"] == SCHEMA_VERSION, f"schema must be {SCHEMA_VERSION}")
     desc = field_from_json(doc.get("field"))
     for key in ("d", "m", "k", "l"):
-        _expect(isinstance(doc.get(key), int), f"{key!r} must be an integer")
+        _expect(_is_int(doc.get(key)), f"{key!r} must be an integer")
     d = doc["d"]
     _expect(d >= 1, "d must be >= 1")
     degrees = doc.get("degrees")
     _expect(
-        isinstance(degrees, list) and all(isinstance(x, int) and x >= 0 for x in degrees),
+        isinstance(degrees, list) and all(_is_int(x) and x >= 0 for x in degrees),
         "'degrees' must be a list of nonnegative integers",
     )
     initials = doc.get("initials")
@@ -155,12 +160,14 @@ def spec_from_json(doc) -> RecurrenceSpec:
             v = Scalar.parse(desc, entry["v"])
         except ValueError as exc:
             raise InstanceFormatError(f"steps[{n}].v: {exc}") from exc
+        t_doc = entry.get("t", [])
+        _expect(isinstance(t_doc, list), f"steps[{n}].t must be a list")
         t_terms = []
-        for t in entry.get("t", []):
+        for t in t_doc:
             _expect(isinstance(t, dict), f"steps[{n}].t entries must be objects")
             alpha = t.get("alpha")
             _expect(
-                isinstance(alpha, list) and len(alpha) == d + 1 and all(isinstance(x, int) and x >= 0 for x in alpha),
+                isinstance(alpha, list) and len(alpha) == d + 1 and all(_is_int(x) and x >= 0 for x in alpha),
                 f"steps[{n}]: alpha must be {d + 1} nonnegative integers",
             )
             t_terms.append(TTerm(alpha=tuple(alpha), poly=poly_of(t.get("coeffs"), f"steps[{n}].t coeffs")))

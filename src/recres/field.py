@@ -10,12 +10,15 @@ Scalars are immutable and hashable, so they are safe to share across
 threads; every operation here is pure.
 
 Text encoding (used by the instance file format): a rational scalar is
-written "a/b" or just "a", a prime-field scalar as a decimal integer in
-[0, p).
+written "a/b" or just "a" in decimal digits, with an optional sign, a
+prime-field scalar as a decimal integer in [0, p).  Parsing accepts no
+other rational form, so an exponent such as "1e3000000" cannot make a few
+bytes of text stand for a huge value.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,6 +45,8 @@ class DivisionByZero(ZeroDivisionError):
 class InvalidModulus(ValueError):
     """Prime-field modulus is absent, too small, or composite."""
 
+
+_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 # Fixed Miller-Rabin bases: deterministic for all n < 3.3 * 10^24,
 # which comfortably covers 64-bit moduli.
@@ -138,9 +143,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self.value
 
-    def is_one(self) -> bool:
-        return self.value == 1
-
     # -- arithmetic ----------------------------------------------------
 
     def _need(self, other: "Scalar") -> None:
@@ -207,6 +209,8 @@ class Scalar:
         try:
             if descriptor.is_prime_field:
                 return Scalar(descriptor, int(text))
+            if not _RATIONAL_TEXT.fullmatch(text):
+                raise ValueError("not of the form a or a/b")
             return Scalar(descriptor, Fraction(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse {text!r} as an element of {descriptor}") from exc

@@ -1,14 +1,19 @@
 """Dense univariate polynomials over an exact field.
 
-A polynomial is a FieldDescriptor plus a coefficient sequence in
-ascending degree: index s holds the coefficient of x^s.  The stored
-sequence is always normalized, i.e. its last entry is nonzero; the zero
-polynomial is the empty sequence.  Coefficients are kept as raw
-payloads (ints mod p, or reduced Fractions); the public accessors hand
-out Scalars.  Over Q the product and division kernels do not work on
-Fractions: they clear each operand to an integer vector over one common
-denominator (`_integral`), run on plain ints, and build one Fraction per
-output coefficient at the end, in the manner of FLINT's fmpq_poly.
+A polynomial is a FieldDescriptor plus a coefficient vector in ascending
+degree: index s holds the coefficient of x^s.  In both fields the stored
+form is one tuple of ints `_c` over one positive int denominator `_den`,
+in the manner of FLINT's fmpq_poly, and coefficient s is `_c[s] / _den`.
+`_make` is the one canonicalizer every kernel result goes through:
+
+* over F_p the entries are residues in [0, p) and `_den == 1`;
+* over Q, `_den > 0` and gcd(_den, *_c) == 1;
+* in both fields the last entry is nonzero; the zero polynomial is the
+  empty vector.
+
+So sums, negation, products and scaling are one integer loop for both
+fields, and the kernels build no Fractions; the public accessors hand out
+Scalars.
 
 The degree of the zero polynomial is the distinguished sentinel
 NEG_INFINITY (float('-inf')), never -1, so that max/plus degree
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 from .field import (
@@ -35,15 +41,6 @@ from .field import (
 __all__ = ["Poly", "NEG_INFINITY"]
 
 NEG_INFINITY: float = float("-inf")
-
-
-def _integral(c: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integers `ints` and a positive `den` with c[i] == ints[i] / den."""
-    # star-unpack a list, not a generator: building the argument tuple from
-    # a generator reallocates it as it grows, which left `fuzz` over Q with
-    # about 6 % more peak RSS
-    den = math.lcm(*[v.denominator for v in c])
-    return [v.numerator * (den // v.denominator) for v in c], den
 
 
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -64,50 +61,63 @@ def _strip(c: list) -> list:
 class Poly:
     """Immutable dense polynomial over one field."""
 
-    __slots__ = ("descriptor", "_c")
+    __slots__ = ("descriptor", "_c", "_den")
 
     def __init__(self, descriptor: FieldDescriptor, coeffs: Iterable = ()):
-        self.descriptor = descriptor
-        c = []
+        values = []
         for v in coeffs:
             if not isinstance(v, Scalar):
                 v = Scalar(descriptor, v)  # canonicalizes the payload
             elif v.descriptor != descriptor:
                 raise DescriptorMismatch(f"{descriptor} vs {v.descriptor}")
-            c.append(v.value)
-        self._c = tuple(_strip(c))
+            values.append(v.value)
+        # reduced payloads over their lcm denominator are already in stored
+        # form: a prime dividing the lcm divides no numerator of the entry
+        # that carries its full power
+        den = math.lcm(*[v.denominator for v in values])
+        self.descriptor = descriptor
+        self._c = tuple(_strip([v.numerator * (den // v.denominator) for v in values]))
+        self._den = den
 
     @classmethod
-    def _raw(cls, descriptor: FieldDescriptor, payloads: list) -> "Poly":
-        # internal: payloads already canonical and normalized
+    def _raw(cls, descriptor: FieldDescriptor, c: Sequence[int], den: int = 1) -> "Poly":
+        # internal: (c, den) already in stored form
         p = object.__new__(cls)
         p.descriptor = descriptor
-        p._c = tuple(payloads)
+        p._c = tuple(c)
+        p._den = den
         return p
+
+    @classmethod
+    def _make(cls, descriptor: FieldDescriptor, c: list[int], den: int = 1) -> "Poly":
+        """The stored form of the vector c / den; over F_p den is 1."""
+        if descriptor.is_prime_field:
+            p = descriptor.modulus
+            c = [v % p for v in c]
+        elif den != 1:
+            # den may be negative: Q divrem's running denominator picks up
+            # the sign of lc(divisor)
+            g = math.gcd(den, *c)
+            if den < 0:
+                g = -g
+            if g != 1:
+                c = [v // g for v in c]
+                den //= g
+        return cls._raw(descriptor, _strip(c), den)
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def zero(cls, descriptor: FieldDescriptor) -> "Poly":
-        return cls(descriptor, ())
+        return cls._raw(descriptor, ())
 
     @classmethod
     def one(cls, descriptor: FieldDescriptor) -> "Poly":
-        return cls(descriptor, (1,))
+        return cls._raw(descriptor, (1,))
 
     @classmethod
     def x(cls, descriptor: FieldDescriptor) -> "Poly":
-        return cls(descriptor, (0, 1))
-
-    @classmethod
-    def monomial(cls, descriptor: FieldDescriptor, power: int, coeff=1) -> "Poly":
-        if power < 0:
-            raise ValueError("power must be >= 0")
-        return cls(descriptor, [0] * power + [coeff])
-
-    @classmethod
-    def constant(cls, value: Scalar) -> "Poly":
-        return cls(value.descriptor, (value,))
+        return cls._raw(descriptor, (0, 1))
 
     # -- basic queries ---------------------------------------------------
 
@@ -118,22 +128,21 @@ class Poly:
     def is_zero(self) -> bool:
         return not self._c
 
+    def _scalar(self, v: int) -> Scalar:
+        return Scalar(self.descriptor, v if self._den == 1 else Fraction(v, self._den))
+
     def coeff_at(self, s: int) -> Scalar:
         """Coefficient of x^s; zero beyond the stored length."""
         if s < 0:
             raise ValueError("coefficient index must be >= 0")
-        if s < len(self._c):
-            return Scalar(self.descriptor, self._c[s])
-        return Scalar(self.descriptor, 0)
+        return self._scalar(self._c[s] if s < len(self._c) else 0)
 
     def leading_coeff(self) -> Scalar:
-        if not self._c:
-            return Scalar(self.descriptor, 0)
-        return Scalar(self.descriptor, self._c[-1])
+        return self._scalar(self._c[-1] if self._c else 0)
 
     @property
     def coeffs(self) -> tuple[Scalar, ...]:
-        return tuple(Scalar(self.descriptor, v) for v in self._c)
+        return tuple(map(self._scalar, self._c))
 
     def primitive(self) -> tuple[Scalar, "Poly"]:
         """Content and primitive part: (c, P) with self == c * P.
@@ -144,10 +153,9 @@ class Poly:
         """
         if self.descriptor.is_prime_field or not self._c:
             return Scalar(self.descriptor, 1), self
-        ints, den = _integral(self._c)
-        content = math.gcd(*ints)
-        part = [Fraction(v // content) for v in ints]
-        return Scalar(self.descriptor, Fraction(content, den)), Poly._raw(self.descriptor, part)
+        content = math.gcd(*self._c)
+        part = Poly._raw(self.descriptor, [v // content for v in self._c])
+        return Scalar(self.descriptor, Fraction(content, self._den)), part
 
     # -- ring operations -------------------------------------------------
 
@@ -159,27 +167,18 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._need(other)
-        a, b = self._c, other._c
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        if self.descriptor.is_prime_field:
-            p = self.descriptor.modulus
-            for i, v in enumerate(b):
-                out[i] = (out[i] + v) % p
-        else:
-            for i, v in enumerate(b):
-                out[i] = out[i] + v
-        return Poly._raw(self.descriptor, _strip(out))
+        a, b, da, db = self._c, other._c, self._den, other._den
+        if da == db:
+            return Poly._make(self.descriptor, [x + y for x, y in zip_longest(a, b, fillvalue=0)], da)
+        den = math.lcm(da, db)
+        ua, ub = den // da, den // db
+        return Poly._make(self.descriptor, [x * ua + y * ub for x, y in zip_longest(a, b, fillvalue=0)], den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        if self.descriptor.is_prime_field:
-            p = self.descriptor.modulus
-            return Poly._raw(self.descriptor, [(-v) % p for v in self._c])
-        return Poly._raw(self.descriptor, [-v for v in self._c])
+        return Poly._make(self.descriptor, [-v for v in self._c], self._den)
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, Scalar):
@@ -190,27 +189,15 @@ class Poly:
         a, b = self._c, other._c
         if not a or not b:
             return Poly.zero(self.descriptor)
-        if self.descriptor.is_prime_field:
-            p = self.descriptor.modulus
-            out = [v % p for v in _convolve(a, b)]
-        else:
-            ia, da = _integral(a)
-            ib, db = _integral(b)
-            den = da * db
-            out = [Fraction(v, den) for v in _convolve(ia, ib)]
-        return Poly._raw(self.descriptor, _strip(out))
+        return Poly._make(self.descriptor, _convolve(a, b), self._den * other._den)
 
     __rmul__ = __mul__
 
     def scale(self, s: Scalar) -> "Poly":
         if s.descriptor != self.descriptor:
             raise DescriptorMismatch(f"{self.descriptor} vs {s.descriptor}")
-        if s.is_zero():
-            return Poly.zero(self.descriptor)
-        if self.descriptor.is_prime_field:
-            p = self.descriptor.modulus
-            return Poly._raw(self.descriptor, [v * s.value % p for v in self._c])
-        return Poly._raw(self.descriptor, [v * s.value for v in self._c])
+        num, den = s.value.numerator, s.value.denominator
+        return Poly._make(self.descriptor, [v * num for v in self._c], self._den * den)
 
     def __pow__(self, exponent: int) -> "Poly":
         """Power by repeated squaring; exponent must be >= 0."""
@@ -232,8 +219,7 @@ class Poly:
             raise ValueError("shift must be >= 0")
         if not self._c:
             return self
-        zero = Scalar(self.descriptor, 0).value
-        return Poly._raw(self.descriptor, [zero] * powers + list(self._c))
+        return Poly._raw(self.descriptor, (0,) * powers + self._c, self._den)
 
     # -- division ----------------------------------------------------------
 
@@ -257,39 +243,31 @@ class Poly:
                     q[i] = c
                     for j, bj in enumerate(b):
                         a[i + j] = (a[i + j] - c * bj) % p
-        else:
-            # self = a / da and other = b / dbn over Z; the running
-            # remainder is a / (da * den), with den grown only when lc(b)
-            # does not divide the next leading term.
-            a, da = _integral(a)
-            b, dbn = _integral(b)
-            lb = b[-1]
-            den = 1
-            for i in range(len(q) - 1, -1, -1):
-                c = a[i + db]
-                if c:
-                    g = math.gcd(c, lb)
-                    u = lb // g
-                    if u != 1:
-                        top = i + db + 1
-                        a[:top] = [v * u for v in a[:top]]
-                        den *= u
-                    c //= g
-                    q[i] = Fraction(c * dbn, den * da)
-                    for j, bj in enumerate(b):
-                        a[i + j] -= c * bj
-            den *= da
-            a = [Fraction(v, den) for v in a[:db]]
-        return Poly(self.descriptor, q), Poly._raw(self.descriptor, _strip(a))
-
-    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        return self.divrem(other)
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return self.divrem(other)[0]
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return self.divrem(other)[1]
+            return Poly._raw(self.descriptor, q), Poly._raw(self.descriptor, _strip(a[:db]))
+        # self = a / self._den and other = b / other._den over Z; the
+        # running remainder is a / (self._den * den), with den grown only
+        # when lc(b) does not divide the next leading term.  q holds the
+        # quotient times self._den * den / other._den, so it is rescaled
+        # along with a.
+        lb = b[-1]
+        den = 1
+        for i in range(len(q) - 1, -1, -1):
+            c = a[i + db]
+            if c:
+                g = math.gcd(c, lb)
+                u = lb // g
+                if u != 1:
+                    top = i + db + 1
+                    a[:top] = [v * u for v in a[:top]]
+                    q[i + 1 :] = [v * u for v in q[i + 1 :]]
+                    den *= u
+                c //= g
+                q[i] = c
+                for j, bj in enumerate(b):
+                    a[i + j] -= c * bj
+        den *= self._den
+        quotient = Poly._make(self.descriptor, [v * other._den for v in q], den)
+        return quotient, Poly._make(self.descriptor, a[:db], den)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -302,19 +280,22 @@ class Poly:
             acc = 0
             for v in reversed(self._c):
                 acc = (acc * at.value + v) % p
-        else:
-            acc = Fraction(0)
-            for v in reversed(self._c):
-                acc = acc * at.value + v
-        return Scalar(self.descriptor, acc)
-
-    __call__ = evaluate
+            return Scalar(self.descriptor, acc)
+        # Horner on the homogenized numerator: with at = num / den, the
+        # loop ends with self(at) = acc / (self._den * den^deg) and
+        # power = den^(deg + 1)
+        num, den = at.value.numerator, at.value.denominator
+        acc, power = 0, 1
+        for v in reversed(self._c):
+            acc = acc * num + v * power
+            power *= den
+        return Scalar(self.descriptor, Fraction(acc * den, self._den * power))
 
     # -- text encoding ---------------------------------------------------
 
     def to_text(self) -> list[str]:
         """Coefficient strings, ascending degree; [] is the zero polynomial."""
-        return [Scalar(self.descriptor, v).to_text() for v in self._c]
+        return [s.to_text() for s in self.coeffs]
 
     @classmethod
     def from_text(cls, descriptor: FieldDescriptor, coeffs: Sequence[str]) -> "Poly":
@@ -326,11 +307,12 @@ class Poly:
         return (
             isinstance(other, Poly)
             and other.descriptor == self.descriptor
+            and other._den == self._den
             and other._c == self._c
         )
 
     def __hash__(self) -> int:
-        return hash((self.descriptor, self._c))
+        return hash((self.descriptor, self._c, self._den))
 
     def __bool__(self) -> bool:
         return bool(self._c)
@@ -340,10 +322,9 @@ class Poly:
             return "0"
         parts = []
         for s in range(len(self._c) - 1, -1, -1):
-            v = self._c[s]
-            if not v:
+            if not self._c[s]:
                 continue
-            text = Scalar(self.descriptor, v).to_text()
+            text = self._scalar(self._c[s]).to_text()
             neg = text.startswith("-")
             mag = text[1:] if neg else text
             if s == 0:

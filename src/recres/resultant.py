@@ -40,10 +40,11 @@ polynomials are rejected.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .field import DescriptorMismatch, FieldDescriptor, Scalar
-from .poly import Poly, _integral
+from .poly import Poly
 
 __all__ = [
     "sylvester_matrix",
@@ -77,7 +78,7 @@ def sylvester_matrix(f: Poly, g: Poly) -> list[list]:
     """
     n, m = f.degree(), g.degree()
     zero = Scalar(f.descriptor, 0).value
-    fc, gc = list(f._c[::-1]), list(g._c[::-1])
+    fc, gc = [s.value for s in reversed(f.coeffs)], [s.value for s in reversed(g.coeffs)]
     rows = [[zero] * i + fc + [zero] * (m - 1 - i) for i in range(m)]
     rows += [[zero] * i + gc + [zero] * (n - 1 - i) for i in range(n)]
     return rows
@@ -163,9 +164,11 @@ def _det_rational(rows: list[list[Fraction]]) -> Fraction:
     int_rows: list[list[int]] = []
     scale = 1
     for row in rows:
-        ints, den = _integral(row)
+        # star-unpack a list, not a generator: building the argument tuple
+        # from a generator reallocates it as it grows
+        den = math.lcm(*[v.denominator for v in row])
         scale *= den
-        int_rows.append(ints)
+        int_rows.append([v.numerator * (den // v.denominator) for v in row])
     return Fraction(_det_bareiss(int_rows), scale)
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -241,6 +242,15 @@ def test_load_rejects_undecodable_files(tmp_path, capsys, content):
         lambda doc: doc["steps"].update({"x": doc["steps"]["2"]}),
         lambda doc: doc["steps"]["2"].update(t=[{"alpha": [1], "coeffs": ["0", "1"]}]),
         lambda doc: doc["steps"].update({"02": doc["steps"]["2"]}),
+        lambda doc: doc["steps"]["2"].update(t=5),
+        lambda doc: doc["steps"]["2"].update(t=None),
+        lambda doc: doc.update(schema=True),
+        lambda doc: doc.update(d=True),
+        lambda doc: doc.update(m=True),
+        lambda doc: doc.update(k=True),
+        lambda doc: doc.update(l=False),
+        lambda doc: doc.update(degrees=[False, True]),
+        lambda doc: doc["steps"]["2"].update(t=[{"alpha": [True, False], "coeffs": ["0"]}]),
     ],
 )
 def test_load_rejects_malformed_documents(tmp_path, mutate):
@@ -262,6 +272,15 @@ def test_load_rejects_a_key_given_twice(tmp_path, capsys):
     path.write_text(text)
     assert main(["resultant", str(path), "--n", "2", "--method", "formula"]) == 2
     assert "'2' appears twice" in capsys.readouterr().err
+
+
+def test_exponent_text_is_refused_before_it_is_built(tmp_path, capsys):
+    # "1e3000000" is a three-million-digit integer in nine bytes
+    doc = schur_doc()
+    doc["steps"]["2"]["v"] = "1e3000000"
+    path = write_doc(tmp_path, doc)
+    assert main(["resultant", path, "--n", "2", "--method", "formula"]) == 2
+    assert "'1e3000000'" in capsys.readouterr().err
 
 
 def test_spec_json_roundtrip():
@@ -429,24 +448,28 @@ def test_lcg_int_in_bounds():
 # -- module entry point -----------------------------------------------------------
 
 
-def test_module_invocation_smoke():
-    result = subprocess.run(
-        [sys.executable, "-m", "recres", "sequence", str(M2_FILE), "--n", "2"],
+def run_module(*args):
+    """`python -m recres ARGS` in a child process that imports recres from
+    this checkout's src/ (pytest's `pythonpath` setting reaches only the
+    pytest process itself)."""
+    path = [str(REPO / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    return subprocess.run(
+        [sys.executable, "-m", "recres", *args],
         capture_output=True,
         text=True,
         timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
     )
+
+
+def test_module_invocation_smoke():
+    result = run_module("sequence", str(M2_FILE), "--n", "2")
     assert result.returncode == 0
     assert "r_2 = x^3 + 1, deg 3" in result.stdout
 
 
 def test_help_smoke():
-    result = subprocess.run(
-        [sys.executable, "-m", "recres", "--help"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    result = run_module("--help")
     assert result.returncode == 0
     for command in ("sequence", "resultant", "verify", "fuzz"):
         assert command in result.stdout

@@ -306,7 +306,7 @@ def rand_order_two(rng, desc, max_tries=300, fixed_m=None, fixed_n_max=None):
                 t = Poly(desc, [0] + [rng.randint(-5, 5) for _ in range(k - 1)])
                 row.append(t)
             v = rand_scalar(rng, desc, -5, 5, nonzero=True)
-            row.append(Poly.monomial(desc, l, v))
+            row.append(Poly(desc, [0] * l + [v]))
             tables.append(row)
         try:
             spec = order_two_recurrence(initial0, initial1, tables)

@@ -101,11 +101,16 @@ def test_text_encoding_rejects_junk():
         Scalar.parse(F7, "2/3")
     with pytest.raises(ValueError):
         Scalar.parse(Q, "spam")
+    with pytest.raises(ValueError):
+        Scalar.parse(Q, "1.5")
+    # refused by its form, before the 10^999999999 it names is built
+    with pytest.raises(ValueError):
+        Scalar.parse(Q, "1e999999999")
 
 
 def test_pow_conventions():
-    assert (Scalar(Q, 0) ** 0).is_one()
-    assert (Scalar(F7, 0) ** 0).is_one()
+    assert Scalar(Q, 0) ** 0 == Scalar(Q, 1)
+    assert Scalar(F7, 0) ** 0 == Scalar(F7, 1)
     assert Scalar(F7, 3) ** -1 == Scalar(F7, 3).inv()
     assert Scalar(Q, Fraction(2, 3)) ** -2 == Scalar(Q, Fraction(9, 4))
 

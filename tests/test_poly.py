@@ -64,10 +64,10 @@ def test_divrem_by_zero():
 def test_eval_examples():
     f = P(-1, 0, 1)
     assert f.evaluate(Scalar(Q, 0)) == Scalar(Q, -1)
-    assert f(Scalar(Q, 1)).is_zero()
+    assert f.evaluate(Scalar(Q, 1)).is_zero()
     # direct substitution oracle: 2^3 - 2*2 = 4
     g = P(0, -2, 0, 1)
-    assert g(Scalar(Q, 2)) == Scalar(Q, Fraction(2) ** 3 - 2 * Fraction(2))
+    assert g.evaluate(Scalar(Q, 2)) == Scalar(Q, Fraction(2) ** 3 - 2 * Fraction(2))
 
 
 def test_coeff_at():
@@ -235,21 +235,71 @@ def test_ring_axioms(f, g, h):
 def test_divrem_roundtrip(f, g):
     if g.is_zero():
         return
-    q, r = divmod(f, g)
+    q, r = f.divrem(g)
     assert q * g + r == f
     assert r.degree() < g.degree()
 
 
-@settings(derandomize=True, max_examples=60)
-@given(polys, polys, st.integers(0, 96))
-def test_eval_is_a_ring_homomorphism(f, g, a):
-    at = Scalar(F97, a)
-    assert (f * g)(at) == f(at) * g(at)
-    assert (f + g)(at) == f(at) + g(at)
+def assert_stored_form(f):
+    """Integer entries over one int denominator, trailing zeros stripped;
+    residues over 1 in F_p, a positive coprime denominator over Q."""
+    assert type(f._c) is tuple and all(type(v) is int for v in f._c)
+    assert type(f._den) is int
+    assert not f._c or f._c[-1]
+    if f.descriptor.is_prime_field:
+        assert f._den == 1
+        assert all(0 <= v < f.descriptor.modulus for v in f._c)
+    else:
+        assert f._den > 0
+        assert math.gcd(f._den, *f._c) == 1
+
+
+def operands(desc, coeff):
+    poly = st.lists(coeff, max_size=6).map(lambda c: Poly(desc, c))
+    return st.tuples(poly, poly, coeff.map(lambda v: Scalar(desc, v)), st.integers(0, 3))
+
+
+field_operands = st.one_of(
+    operands(F97, payloads),
+    operands(Q, st.fractions(min_value=-50, max_value=50, max_denominator=12)),
+)
 
 
 @settings(derandomize=True, max_examples=60)
-@given(polys, polys)
-def test_no_operation_leaves_trailing_zeros(f, g):
-    for result in (f + g, f - g, f * g, -f):
-        assert not result._c or result._c[-1]
+@given(field_operands)
+def test_eval_is_a_ring_homomorphism(args):
+    f, g, at, _ = args
+    assert (f * g).evaluate(at) == f.evaluate(at) * g.evaluate(at)
+    assert (f + g).evaluate(at) == f.evaluate(at) + g.evaluate(at)
+    assert f.evaluate(at) == sum((c * at**s for s, c in enumerate(f.coeffs)), Scalar(f.descriptor, 0))
+
+
+@settings(derandomize=True, max_examples=120)
+@given(field_operands)
+def test_no_operation_leaves_trailing_zeros(args):
+    f, g, s, k = args
+    desc = f.descriptor
+    results = [f + g, f - g, f * g, -f, f.scale(s), f.shift(k), f.primitive()[1]]
+    if not g.is_zero():
+        # over Q, -g has a negative leading coefficient whenever g's is positive
+        for divisor in (g, -g):
+            results += f.divrem(divisor)
+    for result in results:
+        assert_stored_form(result)
+    # equal values built by different routes compare and hash equal
+    same = [
+        (f + g - g, f),
+        (f * g, g * f),
+        (f.shift(k), f * Poly(desc, [0] * k + [1])),
+        (Poly(desc, f.coeffs), f),
+        (Poly.from_text(desc, f.to_text()), f),
+        (f.scale(Scalar(desc, 2)), f + f),
+        (f.primitive()[1].scale(f.primitive()[0]), f),
+    ]
+    if not s.is_zero():
+        same.append((f.scale(s).scale(s.inv()), f))
+    if not g.is_zero():
+        q, r = f.divrem(-g)
+        same.append((q * -g + r, f))
+    for a, b in same:
+        assert a == b and hash(a) == hash(b)

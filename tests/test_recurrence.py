@@ -249,7 +249,7 @@ def test_schur_preset_matches_independent_evaluation():
         # independent: iterate r_n = (a_n x + b_n) r_{n-1} - c_n r_{n-2} directly
         r_prev, r_cur = Poly.one(desc), Poly(desc, [b[0], a[0]])
         for n in range(2, 6):
-            r_next = Poly(desc, [b[n - 1], a[n - 1]]) * r_cur - Poly.constant(c[n - 1]) * r_prev
+            r_next = Poly(desc, [b[n - 1], a[n - 1]]) * r_cur - Poly(desc, [c[n - 1]]) * r_prev
             r_prev, r_cur = r_cur, r_next
             assert seq[n] == r_cur
 
@@ -302,7 +302,7 @@ def test_linear_preset_param_checks():
 
 
 def test_order_two_preset_m1_has_no_t_terms():
-    tables = [[Poly.x(Q), Poly.constant(Scalar(Q, -1))] for _ in range(3)]
+    tables = [[Poly.x(Q), Poly(Q, [-1])] for _ in range(3)]
     spec = order_two_recurrence(Poly.one(Q), Poly.x(Q), tables)
     assert spec.m == 1 and all(not s.t_terms for s in spec.steps.values())
     assert spec == RecurrenceSpec(

@@ -32,7 +32,6 @@ from .resultant import (
 )
 from .recurrence import (
     DegreeMismatchError,
-    InvalidParamsError,
     MissingStepError,
     RecurrenceSpec,
     StepCoeffs,
@@ -72,7 +71,6 @@ __all__ = [
     "validate", "step", "generate",
     "schur_recurrence", "linear_recurrence", "order_two_recurrence",
     "MissingStepError", "WindowSizeError", "DegreeMismatchError",
-    "InvalidParamsError",
     # closedform
     "FormulaContext", "degree_formula",
     "schur_formula", "order_two_formula", "ZeroCoefficientError",

@@ -62,6 +62,15 @@ class InstanceFormatError(ValueError):
     """Instance file is structurally unusable."""
 
 
+class _CommandFailed(Exception):
+    """A command stops before its result: `main` prints the message to
+    stderr and returns `code`."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
 # ---------------------------------------------------------------------------
 # instance (de)serialization
 # ---------------------------------------------------------------------------
@@ -213,11 +222,10 @@ def _write_json(path: Path, doc) -> None:
 
 
 def validation_to_json(report: ValidationReport) -> dict:
-    return {
-        "ok": report.ok,
-        "violations": [{"code": v.code, "n": v.n, "detail": v.detail} for v in report.violations],
-        "warnings": [{"code": v.code, "n": v.n, "detail": v.detail} for v in report.warnings],
-    }
+    def entries(violations):
+        return [{"code": v.code, "n": v.n, "detail": v.detail} for v in violations]
+
+    return {"ok": report.ok, "violations": entries(report.violations), "warnings": entries(report.warnings)}
 
 
 def _record_ok(record: dict) -> bool:
@@ -235,23 +243,22 @@ def verify_records(spec: RecurrenceSpec, n_max: int) -> tuple[list[dict], bool]:
     """
     seq = generate(spec, n_max)
     ctx = FormulaContext(spec)
+    zero = Scalar(spec.descriptor, 0)
     records = []
     for n in range(spec.d + 1, n_max + 1):
         r_n, r_prev = seq[n], seq[n - 1]
         formula = ctx.resultant_formula(n)
         sylvester = resultant_sylvester(r_n, r_prev)
         euclid = resultant_euclid(r_n, r_prev)
-        degree_ok = r_n.degree() == degree_formula(spec, n)
-        leading_ok = r_n.leading_coeff() == ctx.leading_term(n)
-        constant_ok = r_n.evaluate(Scalar(spec.descriptor, 0)) == ctx.constant_value(n)
+        degree, expected_degree = r_n.degree(), degree_formula(spec, n)
         records.append(
             {
                 "n": n,
-                "degree": r_n.degree(),
-                "degree_formula": degree_formula(spec, n),
-                "degree_match": degree_ok,
-                "leading_match": leading_ok,
-                "constant_match": constant_ok,
+                "degree": degree,
+                "degree_formula": expected_degree,
+                "degree_match": degree == expected_degree,
+                "leading_match": r_n.leading_coeff() == ctx.leading_term(n),
+                "constant_match": r_n.evaluate(zero) == ctx.constant_value(n),
                 "formula": formula.to_text(),
                 "sylvester": sylvester.to_text(),
                 "euclid": euclid.to_text(),
@@ -261,16 +268,19 @@ def verify_records(spec: RecurrenceSpec, n_max: int) -> tuple[list[dict], bool]:
     return records, all(map(_record_ok, records))
 
 
-def _base_report(command: str, spec: RecurrenceSpec, instance: str) -> dict:
+def _report_header(command: str, desc: FieldDescriptor) -> dict:
+    """The keys that open every report."""
     return {
         "schema": SCHEMA_VERSION,
         "tool": "recres",
         "tool_version": __version__,
         "command": command,
-        "instance": instance,
-        "field": field_to_json(spec.descriptor),
-        "seed": None,
+        "field": field_to_json(desc),
     }
+
+
+def _base_report(command: str, spec: RecurrenceSpec, instance: str) -> dict:
+    return {**_report_header(command, spec.descriptor), "instance": instance, "seed": None}
 
 
 # ---------------------------------------------------------------------------
@@ -278,26 +288,22 @@ def _base_report(command: str, spec: RecurrenceSpec, instance: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _checked_instance(args, n: int, flag: str, first: int) -> tuple[RecurrenceSpec, ValidationReport] | int:
+def _checked_instance(args, n: int, flag: str, first: int) -> tuple[RecurrenceSpec, ValidationReport]:
     """Load args.instance, require n >= d + first and validate steps
     d+1..n: the one validation a command runs before computing anything.
-    On failure print why and return the exit code."""
+    On failure raise _CommandFailed with the exit code and the reason."""
     try:
         spec = load_instance(args.instance)
     except InstanceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _CommandFailed(2, f"error: {exc}") from None
     if n < spec.d + first:
-        print(f"error: {flag} must be >= {'d+1' if first else 'd'} = {spec.d + first}", file=sys.stderr)
-        return 2
+        raise _CommandFailed(2, f"error: {flag} must be >= {'d+1' if first else 'd'} = {spec.d + first}")
     try:
         report = validate(spec, n, allow_zero_v=args.allow_zero_v)
     except MissingStepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _CommandFailed(2, f"error: {exc}") from None
     if not report.ok:
-        print(f"validation failed: {report}", file=sys.stderr)
-        return 3
+        raise _CommandFailed(3, f"validation failed: {report}")
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return spec, report
@@ -305,15 +311,8 @@ def _checked_instance(args, n: int, flag: str, first: int) -> tuple[RecurrenceSp
 
 def cmd_sequence(args) -> int:
     n_max = args.n
-    checked = _checked_instance(args, n_max, "--n", 0)
-    if isinstance(checked, int):
-        return checked
-    spec, report = checked
-    try:
-        seq = generate(spec, n_max)
-    except DegreeMismatchError as exc:
-        print(f"MISMATCH: {exc}", file=sys.stderr)
-        return 4
+    spec, report = _checked_instance(args, n_max, "--n", 0)
+    seq = generate(spec, n_max)
     for n, poly in enumerate(seq):
         print(f"r_{n} = {poly}, deg {poly.degree()}")
     if args.json:
@@ -328,24 +327,17 @@ def cmd_sequence(args) -> int:
 
 def cmd_resultant(args) -> int:
     n = args.n
-    checked = _checked_instance(args, n, "--n", 1)
-    if isinstance(checked, int):
-        return checked
-    spec, report = checked
+    spec, report = _checked_instance(args, n, "--n", 1)
     started = time.perf_counter()
     values: dict[str, Scalar] = {}
-    try:
-        if args.method in ("formula", "all"):
-            values["formula"] = FormulaContext(spec).resultant_formula(n)
-        if args.method in ("sylvester", "euclid", "all"):
-            seq = generate(spec, n)
-            if args.method in ("sylvester", "all"):
-                values["sylvester"] = resultant_sylvester(seq[n], seq[n - 1])
-            if args.method in ("euclid", "all"):
-                values["euclid"] = resultant_euclid(seq[n], seq[n - 1])
-    except DegreeMismatchError as exc:
-        print(f"MISMATCH: {exc}", file=sys.stderr)
-        return 4
+    if args.method in ("formula", "all"):
+        values["formula"] = FormulaContext(spec).resultant_formula(n)
+    if args.method in ("sylvester", "euclid", "all"):
+        seq = generate(spec, n)
+        if args.method in ("sylvester", "all"):
+            values["sylvester"] = resultant_sylvester(seq[n], seq[n - 1])
+        if args.method in ("euclid", "all"):
+            values["euclid"] = resultant_euclid(seq[n], seq[n - 1])
     elapsed = time.perf_counter() - started
     texts = {method: v.to_text() for method, v in values.items()}
     for method, text in texts.items():
@@ -368,16 +360,9 @@ def cmd_resultant(args) -> int:
 
 def cmd_verify(args) -> int:
     n_max = args.n_max
-    checked = _checked_instance(args, n_max, "--n-max", 1)
-    if isinstance(checked, int):
-        return checked
-    spec, report = checked
+    spec, report = _checked_instance(args, n_max, "--n-max", 1)
     started = time.perf_counter()
-    try:
-        records, all_ok = verify_records(spec, n_max)
-    except DegreeMismatchError as exc:
-        print(f"MISMATCH: {exc}", file=sys.stderr)
-        return 4
+    records, all_ok = verify_records(spec, n_max)
     elapsed = time.perf_counter() - started
     for record in records:
         status = "ok" if _record_ok(record) else "MISMATCH"
@@ -613,13 +598,9 @@ def cmd_fuzz(args) -> int:
         if not all_ok and mismatch_path is None:
             mismatch_path = out_dir / file_name
     report = {
-        "schema": SCHEMA_VERSION,
-        "tool": "recres",
-        "tool_version": __version__,
-        "command": "fuzz",
+        **_report_header("fuzz", desc),
         "seed": args.seed,
         "count": args.count,
-        "field": field_to_json(desc),
         "bounds": bounds,
         "branch_coverage": {"edge": edge_count, "normal": len(instances) - edge_count},
         "total_draws": total_draws,
@@ -650,27 +631,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"recres {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    on_instance = argparse.ArgumentParser(add_help=False)
+    on_instance.add_argument("instance")
+    on_instance.add_argument("--json", metavar="OUT")
+    on_instance.add_argument("--allow-zero-v", action="store_true", help="downgrade v_n = 0 to a warning")
 
-    seq = sub.add_parser("sequence", help="generate and print r_0..r_N")
-    seq.add_argument("instance")
+    seq = sub.add_parser("sequence", parents=[on_instance], help="generate and print r_0..r_N")
     seq.add_argument("--n", type=int, required=True)
-    seq.add_argument("--json", metavar="OUT")
-    seq.add_argument("--allow-zero-v", action="store_true", help="downgrade v_n = 0 to a warning")
     seq.set_defaults(func=cmd_sequence)
 
-    res = sub.add_parser("resultant", help="Res(r_n, r_{n-1}) by one or all methods")
-    res.add_argument("instance")
+    res = sub.add_parser("resultant", parents=[on_instance], help="Res(r_n, r_{n-1}) by one or all methods")
     res.add_argument("--n", type=int, required=True)
     res.add_argument("--method", choices=("formula", "sylvester", "euclid", "all"), default="all")
-    res.add_argument("--json", metavar="OUT")
-    res.add_argument("--allow-zero-v", action="store_true")
     res.set_defaults(func=cmd_resultant)
 
-    ver = sub.add_parser("verify", help="check the closed-form identity for d+1 <= n <= N")
-    ver.add_argument("instance")
+    ver = sub.add_parser("verify", parents=[on_instance], help="check the closed-form identity for d+1 <= n <= N")
     ver.add_argument("--n-max", type=int, required=True)
-    ver.add_argument("--json", metavar="OUT")
-    ver.add_argument("--allow-zero-v", action="store_true")
     ver.set_defaults(func=cmd_verify)
 
     fuzz = sub.add_parser("fuzz", help="verify randomized instances; dump them for replay")
@@ -699,7 +675,14 @@ def main(argv: list[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _CommandFailed as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
+    except DegreeMismatchError as exc:
+        print(f"MISMATCH: {exc}", file=sys.stderr)
+        return 4
 
 
 def entry_point() -> None:

@@ -46,6 +46,7 @@ class InvalidModulus(ValueError):
     """Prime-field modulus is absent, too small, or composite."""
 
 
+_INTEGER_TEXT = re.compile(r"[+-]?[0-9]+")
 _RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 # Fixed Miller-Rabin bases: deterministic for all n < 3.3 * 10^24,
@@ -208,6 +209,8 @@ class Scalar:
         text = text.strip()
         try:
             if descriptor.is_prime_field:
+                if not _INTEGER_TEXT.fullmatch(text):
+                    raise ValueError("not a decimal integer")
                 return Scalar(descriptor, int(text))
             if not _RATIONAL_TEXT.fullmatch(text):
                 raise ValueError("not of the form a or a/b")

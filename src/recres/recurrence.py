@@ -21,11 +21,13 @@ are explicit per-step tables, not symbolic functions of n, so an
 instance is a closed, serializable object (the JSON schema lives in
 recres.cli).
 
-`validate` checks every hypothesis the closed forms in
-recres.closedform rely on; `generate` trusts its caller to have run it,
-iterates the step and asserts each produced degree against the
-closed-form degree, so a violated hypothesis surfaces immediately as
-DegreeMismatchError rather than as a silently wrong resultant.
+`validate` is the one place that checks the hypotheses the closed forms
+in recres.closedform rely on; the presets below only map classical
+shapes onto the d = 1 instance.  `generate` trusts its caller to have
+run `validate`, iterates the step and asserts each produced degree
+against the closed-form degree, so a violated hypothesis surfaces
+immediately as DegreeMismatchError rather than as a silently wrong
+resultant.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ __all__ = [
     "MissingStepError",
     "WindowSizeError",
     "DegreeMismatchError",
-    "InvalidParamsError",
 ]
 
 
@@ -84,10 +85,6 @@ class DegreeMismatchError(AssertionError):
         self.n = n
         self.expected = expected
         self.actual = actual
-
-
-class InvalidParamsError(ValueError):
-    """Preset constructor parameters violate the preset's constraints."""
 
 
 @dataclass(frozen=True)
@@ -332,146 +329,71 @@ def generate(spec: RecurrenceSpec, upto: int) -> list[Poly]:
 
 
 # ---------------------------------------------------------------------------
-# Preset constructors: classical shapes expressed as the general instance.
+# Presets: classical shapes mapped onto the general instance.  They check
+# no hypothesis; `validate` reports every one.
 # ---------------------------------------------------------------------------
 
 
-def _common_descriptor(scalars: Sequence[Scalar]) -> FieldDescriptor:
-    if not scalars:
-        raise InvalidParamsError("empty coefficient sequence")
-    desc = scalars[0].descriptor
-    if any(s.descriptor != desc for s in scalars):
-        raise InvalidParamsError("coefficients from mixed fields")
-    return desc
+def _order_two_spec(initial0: Poly, initial1: Poly, m: int, l: int, rows, name: str) -> RecurrenceSpec:
+    """The d = 1 instance whose step n = idx+2 is rows[idx] = (t_0, (t_1, ..., t_{m-1}), v).
+
+    k is deg t_0 of the first row.  A nonzero middle t_s is the t-term with
+    alpha = (m-s-1, s): r_{n-1}^{m-s} r_{n-2}^s = (r_{n-1}^{m-s-1} r_{n-2}^s) * r_{n-1}.
+    """
+    if not rows:
+        raise ValueError("need at least one step table")
+    steps = {
+        n: StepCoeffs(g, v, tuple(TTerm((m - s - 1, s), t) for s, t in enumerate(middle, 1) if not t.is_zero()))
+        for n, (g, middle, v) in enumerate(rows, 2)
+    }
+    return RecurrenceSpec(
+        descriptor=initial0.descriptor, d=1, m=m, k=rows[0][0].degree(), l=l,
+        degrees=(initial0.degree(), initial1.degree()), initials=(initial0, initial1), steps=steps, name=name,
+    )
 
 
 def schur_recurrence(a: Sequence[Scalar], b: Sequence[Scalar], c: Sequence[Scalar]) -> RecurrenceSpec:
-    """Three-term recurrence r_n = (a_n x + b_n) r_{n-1} - c_n r_{n-2}.
+    """Three-term recurrence r_n = (a_n x + b_n) r_{n-1} - c_n r_{n-2} from r_0 = 1.
 
-    ``a[i]``, ``b[i]``, ``c[i]`` are the coefficients a_{i+1}, b_{i+1},
-    c_{i+1} (so a[0] = a_1 builds r_1 = a_1 x + b_1, and c[0] = c_1 is
-    unused; it only keeps the indexing aligned).  Requires a_n c_n != 0.
-    The result is the general instance with d=1, m=1, k=1, l=0,
-    g_n = a_n x + b_n, v_n = -c_n and no t-terms, starting from
-    r_0 = 1.
+    ``a[i]``, ``b[i]``, ``c[i]`` are a_{i+1}, b_{i+1}, c_{i+1}: a[0] = a_1
+    builds r_1 = a_1 x + b_1, and c[0] = c_1 is unused; it only keeps the
+    indexing aligned.  Step n has g_n = a_n x + b_n and v_n = -c_n (k = 1, l = 0).
     """
-    if len(a) != len(b) or len(a) != len(c):
-        raise InvalidParamsError("a, b, c must have equal length")
-    if len(a) < 2:
-        raise InvalidParamsError("need coefficients at least up to n = 2")
-    desc = _common_descriptor(list(a) + list(b) + list(c))
-    if any(x.is_zero() for x in a) or any(x.is_zero() for x in c[1:]):
-        raise InvalidParamsError("Schur coefficients require a_n c_n != 0")
-    r0 = Poly.one(desc)
-    r1 = Poly(desc, [b[0], a[0]])
-    steps = {
-        n: StepCoeffs(g=Poly(desc, [b[n - 1], a[n - 1]]), v=-c[n - 1])
-        for n in range(2, len(a) + 1)
-    }
-    return RecurrenceSpec(
-        descriptor=desc, d=1, m=1, k=1, l=0,
-        degrees=(0, 1), initials=(r0, r1), steps=steps, name="schur",
-    )
+    rows = [(Poly(a_n.descriptor, [b_n, a_n]), (), -c_n) for a_n, b_n, c_n in zip(a, b, c, strict=True)]
+    if not rows:
+        raise ValueError("need a_1, b_1 and c_1 at least")
+    r1 = rows[0][0]
+    return _order_two_spec(Poly.one(r1.descriptor), r1, 1, 0, rows[1:], "schur")
 
 
-def linear_recurrence(
-    initial0: Poly,
-    initial1: Poly,
-    f: Sequence[Poly],
-    v: Sequence[Scalar],
-    l: int,
-) -> RecurrenceSpec:
-    """General linear case r_n = f_n r_{n-1} - v_n x^l r_{n-2}.
+def linear_recurrence(initial0: Poly, initial1: Poly, f: Sequence[Poly], v: Sequence[Scalar], l: int) -> RecurrenceSpec:
+    """General linear case r_n = f_n r_{n-1} - v_n x^l r_{n-2} (m = 1).
 
-    Initial degrees i = deg(initial0) <= j = deg(initial1) and all f_n
-    of one degree k >= l are required.  ``f[idx]`` and ``v[idx]`` are
-    the step-(idx+2) coefficients.  The result is the general instance
-    with d=1, m=1, g_n = f_n and v_n negated.
+    ``f[idx]`` and ``v[idx]`` are the step-(idx+2) coefficients; step n
+    has g_n = f_n and v_n negated.
     """
-    if initial0.is_zero() or initial1.is_zero():
-        raise InvalidParamsError("initial polynomials must be nonzero")
-    if len(f) != len(v) or not f:
-        raise InvalidParamsError("need equally many f_n and v_n, at least one each")
-    desc = initial0.descriptor
-    if initial1.descriptor != desc or any(p.descriptor != desc for p in f) or any(s.descriptor != desc for s in v):
-        raise InvalidParamsError("mixed fields")
-    i, j = initial0.degree(), initial1.degree()
-    if i > j:
-        raise InvalidParamsError(f"need deg(initial0) <= deg(initial1), got {i} > {j}")
-    k = f[0].degree()
-    if any(p.degree() != k for p in f):
-        raise InvalidParamsError("all f_n must share one degree k")
-    if not 0 <= l <= k:
-        raise InvalidParamsError(f"need 0 <= l <= k = {k}, got l = {l}")
-    steps = {n: StepCoeffs(g=f[n - 2], v=-v[n - 2]) for n in range(2, len(f) + 2)}
-    return RecurrenceSpec(
-        descriptor=desc, d=1, m=1, k=k, l=l,
-        degrees=(i, j), initials=(initial0, initial1), steps=steps, name="linear",
-    )
+    rows = [(f_n, (), -v_n) for f_n, v_n in zip(f, v, strict=True)]
+    return _order_two_spec(initial0, initial1, 1, l, rows, "linear")
 
 
-def order_two_recurrence(
-    initial0: Poly,
-    initial1: Poly,
-    t_tables: Sequence[Sequence[Poly]],
-) -> RecurrenceSpec:
+def order_two_recurrence(initial0: Poly, initial1: Poly, t_tables: Sequence[Sequence[Poly]]) -> RecurrenceSpec:
     """Order-two shape r_n = sum_{s=0}^m t_{s,n} r_{n-1}^{m-s} r_{n-2}^s.
 
-    ``t_tables[idx]`` lists (t_{0,n}, ..., t_{m,n}) for n = idx+2.
-    Required shape: t_{0,n} of one degree k with nonzero lc (this is
-    g_n); t_{m,n} a single monomial v_n x^l with one l across steps;
-    each middle t_{s,n} with t(0) = 0 and degree < k.  Every middle
-    term maps to the general t-term with alpha = (m-s-1, s), because
-    r_{n-1}^{m-s} r_{n-2}^s = (r_{n-1}^{m-s-1} r_{n-2}^s) * r_{n-1}.
-    For m = 1 the t-term set comes out empty.
+    ``t_tables[idx]`` lists (t_{0,n}, ..., t_{m,n}) for n = idx+2, with one
+    m >= 1.  t_{0,n} is g_n, and t_{m,n} must be one nonzero monomial
+    v_n x^l with the same l in every step: only tables that break this
+    shape are refused (ValueError), since no general instance has them.
     """
-    if initial0.is_zero() or initial1.is_zero():
-        raise InvalidParamsError("initial polynomials must be nonzero")
-    desc = initial0.descriptor
-    if initial1.descriptor != desc:
-        raise InvalidParamsError("mixed fields")
-    if not t_tables:
-        raise InvalidParamsError("need at least one step table")
-    m = len(t_tables[0]) - 1
-    if m < 1:
-        raise InvalidParamsError("each table needs at least t_0 and t_m")
-    k = t_tables[0][0].degree()
-    if not isinstance(k, int):
-        raise InvalidParamsError("t_{0,n} must be nonzero")
-    l: int | None = None
-    steps: dict[int, StepCoeffs] = {}
-    for idx, table in enumerate(t_tables):
-        n = idx + 2
-        if len(table) != m + 1:
-            raise InvalidParamsError(f"table for n={n} has {len(table)} entries, expected {m + 1}")
-        if any(p.descriptor != desc for p in table):
-            raise InvalidParamsError("mixed fields")
-        g = table[0]
-        if g.degree() != k:
-            raise InvalidParamsError(f"deg t_{{0,{n}}} = {g.degree()}, expected k = {k}")
+    m = len(t_tables[0]) - 1 if t_tables else 0
+    if m < 1 or any(len(table) != m + 1 for table in t_tables):
+        raise ValueError("need one or more step tables, each listing t_0, ..., t_m with one m >= 1")
+    l = t_tables[0][m].degree()
+    rows = []
+    for n, table in enumerate(t_tables, 2):
         trailing = table[m]
-        if trailing.is_zero():
-            raise InvalidParamsError(f"t_{{m,{n}}} must be a nonzero monomial v x^l")
-        deg_tr = trailing.degree()
-        if sum(1 for s in trailing.coeffs if not s.is_zero()) != 1:
-            raise InvalidParamsError(f"t_{{m,{n}}} must be a single monomial v x^l")
-        if l is None:
-            l = deg_tr
-            if l > k:
-                raise InvalidParamsError(f"need l <= k, got l = {l}, k = {k}")
-        elif deg_tr != l:
-            raise InvalidParamsError(f"t_{{m,{n}}} has x-power {deg_tr}, earlier steps used {l}")
-        t_terms = []
-        for s in range(1, m):
-            t = table[s]
-            if t.is_zero():
-                continue
-            if not t.coeff_at(0).is_zero() or t.degree() >= k:
-                raise InvalidParamsError(f"t_{{{s},{n}}} needs t(0) = 0 and degree < k = {k}")
-            t_terms.append(TTerm(alpha=(m - s - 1, s), poly=t))
-        steps[n] = StepCoeffs(g=g, v=trailing.coeff_at(l), t_terms=tuple(t_terms))
-    return RecurrenceSpec(
-        descriptor=desc, d=1, m=m, k=k, l=l,
-        degrees=(initial0.degree(), initial1.degree()),
-        initials=(initial0, initial1), steps=steps, name="order2",
-    )
+        if trailing.is_zero() or any(not c.is_zero() for c in trailing.coeffs[:-1]):
+            raise ValueError(f"t_{{m,{n}}} = {trailing} is not one nonzero monomial v x^l")
+        if trailing.degree() != l:
+            raise ValueError(f"t_{{m,{n}}} has x-power {trailing.degree()}, t_{{m,2}} has {l}")
+        rows.append((table[0], table[1:m], trailing.leading_coeff()))
+    return _order_two_spec(initial0, initial1, m, l, rows, "order2")

@@ -251,6 +251,7 @@ def test_load_rejects_undecodable_files(tmp_path, capsys, content):
         lambda doc: doc.update(l=False),
         lambda doc: doc.update(degrees=[False, True]),
         lambda doc: doc["steps"]["2"].update(t=[{"alpha": [True, False], "coeffs": ["0"]}]),
+        lambda doc: doc.update(field={"prime": 7}) or doc["steps"]["2"].update(v="1_0"),
     ],
 )
 def test_load_rejects_malformed_documents(tmp_path, mutate):

@@ -106,6 +106,11 @@ def test_text_encoding_rejects_junk():
     # refused by its form, before the 10^999999999 it names is built
     with pytest.raises(ValueError):
         Scalar.parse(Q, "1e999999999")
+    # F_p text is ASCII decimal too: int() alone would read both of these as 10 and 3
+    with pytest.raises(ValueError):
+        Scalar.parse(F7, "1_0")
+    with pytest.raises(ValueError):
+        Scalar.parse(F7, "\u0663")
 
 
 def test_pow_conventions():

@@ -4,7 +4,6 @@ import pytest
 
 from recres import (
     DegreeMismatchError,
-    InvalidParamsError,
     MissingStepError,
     Poly,
     RecurrenceSpec,
@@ -254,11 +253,24 @@ def test_schur_preset_matches_independent_evaluation():
             assert seq[n] == r_cur
 
 
+def violation_codes(spec, **options):
+    """The validate codes over every step table of a preset's instance."""
+    return {v.code for v in validate(spec, max(spec.steps), **options).violations}
+
+
 def test_schur_preset_rejects_zero_coefficients():
-    with pytest.raises(InvalidParamsError):
-        schur_recurrence([Scalar(Q, 0), Scalar(Q, 1)], [Scalar(Q, 0)] * 2, ones(Q, 2))
-    with pytest.raises(InvalidParamsError):
-        schur_recurrence(ones(Q, 3), [Scalar(Q, 0)] * 3, [Scalar(Q, 1), Scalar(Q, 0), Scalar(Q, 1)])
+    # the preset maps the shape; validate reports a_1 = 0 and c_n = 0
+    a_1_zero = schur_recurrence([Scalar(Q, 0), Scalar(Q, 1)], [Scalar(Q, 0)] * 2, ones(Q, 2))
+    assert violation_codes(a_1_zero) == {"Membership", "LeadingProductZero"}
+    c_2_zero = schur_recurrence(ones(Q, 3), [Scalar(Q, 0)] * 3, [Scalar(Q, 1), Scalar(Q, 0), Scalar(Q, 1)])
+    assert violation_codes(c_2_zero) == {"VZero"}
+    # a zero c_n stays a v_n = 0 with its x-power, so allow_zero_v can downgrade it
+    report = validate(c_2_zero, 3, allow_zero_v=True)
+    assert report.ok and [w.code for w in report.warnings] == ["VZero"]
+    with pytest.raises(ValueError):
+        schur_recurrence(ones(Q, 2), ones(Q, 2), ones(Q, 3))  # unequal lengths
+    with pytest.raises(ValueError):
+        schur_recurrence(ones(Q, 1), ones(Q, 1), ones(Q, 1))  # no step n = 2
 
 
 def test_linear_preset_equals_schur_mapping():
@@ -293,12 +305,19 @@ def test_linear_preset_trailing_power():
 
 
 def test_linear_preset_param_checks():
-    with pytest.raises(InvalidParamsError):
-        linear_recurrence(Poly(Q, [0, 0, 1]), Poly.x(Q), [Poly.x(Q)], ones(Q, 1), l=0)  # i > j
-    with pytest.raises(InvalidParamsError):
-        linear_recurrence(Poly.one(Q), Poly.x(Q), [Poly.x(Q)], ones(Q, 1), l=2)  # l > k
-    with pytest.raises(InvalidParamsError):
-        linear_recurrence(Poly.one(Q), Poly.x(Q), [Poly.x(Q), Poly(Q, [1, 1, 1])], ones(Q, 2), l=0)
+    i_above_j = linear_recurrence(Poly(Q, [0, 0, 1]), Poly.x(Q), [Poly.x(Q)], ones(Q, 1), l=0)
+    assert violation_codes(i_above_j) == {"Membership"}
+    l_above_k = linear_recurrence(Poly.one(Q), Poly.x(Q), [Poly.x(Q)], ones(Q, 1), l=2)
+    assert violation_codes(l_above_k) == {"Membership"}
+    mixed_degrees = linear_recurrence(Poly.one(Q), Poly.x(Q), [Poly.x(Q), Poly(Q, [1, 1, 1])], ones(Q, 2), l=0)
+    assert [(v.code, v.n) for v in validate(mixed_degrees, 3).violations] == [("GDegree", 3)]
+    zero_v = linear_recurrence(Poly.one(Q), Poly.x(Q), [Poly.x(Q)], [Scalar(Q, 0)], l=1)
+    assert zero_v.l == 1 and violation_codes(zero_v) == {"VZero"}
+    assert violation_codes(zero_v, allow_zero_v=True) == set()
+    with pytest.raises(ValueError):
+        linear_recurrence(Poly.one(Q), Poly.x(Q), [Poly.x(Q)], ones(Q, 2), l=0)  # unequal lengths
+    with pytest.raises(ValueError):
+        linear_recurrence(Poly.one(Q), Poly.x(Q), [], [], l=0)  # no step table
 
 
 def test_order_two_preset_m1_has_no_t_terms():
@@ -329,12 +348,28 @@ def test_order_two_preset_maps_middle_terms():
 
 
 def test_order_two_preset_param_checks():
-    with pytest.raises(InvalidParamsError):
-        order_two_recurrence(Poly.one(Q), Poly.x(Q), [[Poly.x(Q), Poly(Q, [1, 1])]])  # trailing not monomial
-    with pytest.raises(InvalidParamsError):
-        order_two_recurrence(Poly.one(Q), Poly.x(Q), [[Poly.x(Q), Poly(Q, [0, 0, 3])]])  # l > k
-    with pytest.raises(InvalidParamsError):
-        order_two_recurrence(Poly.one(Q), Poly.x(Q), [[Poly.zero(Q), Poly.x(Q)]])  # t_0 zero
+    # structural: tables that no general instance expresses
+    for tables in (
+        [[Poly.x(Q), Poly(Q, [1, 1])]],  # trailing not one monomial
+        [[Poly.x(Q), Poly.zero(Q)]],  # zero trailing has no x-power
+        [[Poly.x(Q), Poly(Q, [2])], [Poly.x(Q), Poly(Q, [0, 2])]],  # x-power differs between steps
+        [[Poly.x(Q), Poly(Q, [2])], [Poly.x(Q), Poly.zero(Q), Poly(Q, [2])]],  # m differs between steps
+        [[Poly.x(Q)]],  # no t_m
+        [],  # no tables
+    ):
+        with pytest.raises(ValueError):
+            order_two_recurrence(Poly.one(Q), Poly.x(Q), tables)
+    # hypotheses: the preset maps the shape, validate reports
+    l_above_k = order_two_recurrence(Poly.one(Q), Poly.x(Q), [[Poly.x(Q), Poly(Q, [0, 0, 3])]])
+    assert violation_codes(l_above_k) == {"Membership"}
+    t_0_zero = order_two_recurrence(Poly.one(Q), Poly.x(Q), [[Poly.zero(Q), Poly.x(Q)]])
+    assert violation_codes(t_0_zero) == {"Membership", "LeadingProductZero"}
+    middle = [Poly(Q, [0, 0, 1]), Poly(Q, [1, 1]), Poly(Q, [2])]
+    assert violation_codes(order_two_recurrence(Poly.one(Q), Poly.x(Q), [middle])) == {"TConstant"}
+    middle = [Poly(Q, [0, 0, 1]), Poly(Q, [0, 0, 1]), Poly(Q, [2])]
+    assert violation_codes(order_two_recurrence(Poly.one(Q), Poly.x(Q), [middle])) == {"TDegree"}
+    zero_initial = order_two_recurrence(Poly.zero(Q), Poly.x(Q), [[Poly.x(Q), Poly(Q, [2])]])
+    assert violation_codes(zero_initial) == {"LeadingProductZero"}
 
 
 def test_step_is_linear_in_v():

@@ -39,7 +39,7 @@ from pathlib import Path
 
 from . import __version__
 from .closedform import FormulaContext, degree_formula
-from .field import FieldDescriptor, InvalidModulus, Scalar, prime_field, rationals
+from .field import _INTEGER_TEXT, FieldDescriptor, InvalidModulus, Scalar, prime_field, rationals
 from .poly import Poly
 from .recurrence import (
     DegreeMismatchError,
@@ -157,7 +157,7 @@ def spec_from_json(doc) -> RecurrenceSpec:
     steps: dict[int, StepCoeffs] = {}
     for key, entry in steps_doc.items():
         try:
-            n = int(key)
+            n = _decimal(key)
         except ValueError:
             raise InstanceFormatError(f"step key {key!r} is not an integer") from None
         _expect(n not in steps, f"step {n} appears twice")
@@ -503,21 +503,34 @@ def _resolve_n_max(setting, d: int, m: int) -> int:
     return d + int(setting[2:])
 
 
+def _decimal(text: str) -> int:
+    """A decimal integer in ASCII digits, for step keys and integer flags.
+
+    int() alone would also read underscores and non-ASCII digits.
+    """
+    if not _INTEGER_TEXT.fullmatch(text.strip()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
+_decimal.__name__ = "int"  # argparse names the type in "invalid int value"
+
+
 def _parse_n_max(text: str):
     """An absolute index as an int, or 'd+K' with K >= 1 kept as text."""
     text = text.strip()
     if text.startswith("d+"):
-        if int(text[2:]) < 1:
+        if _decimal(text[2:]) < 1:
             raise argparse.ArgumentTypeError(f"'d+K' needs K >= 1, got {text!r}")
         return text
-    return int(text)
+    return _decimal(text)
 
 
 def _int_at_least(low: int):
     """An argparse type: an integer no smaller than low."""
 
     def parse(text: str) -> int:
-        value = int(text)
+        value = _decimal(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
@@ -530,7 +543,7 @@ def _parse_field(text: str) -> FieldDescriptor:
     if text == "rational":
         return rationals()
     try:
-        return prime_field(int(text))
+        return prime_field(_decimal(text))
     except (ValueError, InvalidModulus) as exc:
         raise argparse.ArgumentTypeError(f"--field must be 'rational' or a prime: {exc}")
 
@@ -637,20 +650,20 @@ def build_parser() -> argparse.ArgumentParser:
     on_instance.add_argument("--allow-zero-v", action="store_true", help="downgrade v_n = 0 to a warning")
 
     seq = sub.add_parser("sequence", parents=[on_instance], help="generate and print r_0..r_N")
-    seq.add_argument("--n", type=int, required=True)
+    seq.add_argument("--n", type=_decimal, required=True)
     seq.set_defaults(func=cmd_sequence)
 
     res = sub.add_parser("resultant", parents=[on_instance], help="Res(r_n, r_{n-1}) by one or all methods")
-    res.add_argument("--n", type=int, required=True)
+    res.add_argument("--n", type=_decimal, required=True)
     res.add_argument("--method", choices=("formula", "sylvester", "euclid", "all"), default="all")
     res.set_defaults(func=cmd_resultant)
 
     ver = sub.add_parser("verify", parents=[on_instance], help="check the closed-form identity for d+1 <= n <= N")
-    ver.add_argument("--n-max", type=int, required=True)
+    ver.add_argument("--n-max", type=_decimal, required=True)
     ver.set_defaults(func=cmd_verify)
 
     fuzz = sub.add_parser("fuzz", help="verify randomized instances; dump them for replay")
-    fuzz.add_argument("--seed", type=int, required=True)
+    fuzz.add_argument("--seed", type=_decimal, required=True)
     fuzz.add_argument("--count", type=_int_at_least(0), required=True)
     fuzz.add_argument("--d-max", type=_int_at_least(1), default=2)
     fuzz.add_argument("--m-max", type=_int_at_least(1), default=2)

@@ -20,8 +20,17 @@ w = 2 bitlen(p) + bitlen(N) + 1 bits for an N x N matrix, rounded up to
 whole bytes.  It starts below p and gains at most (p - 1)^2 per column, so
 it stays below p + N (p - 1)^2 < 2^w and never carries; only the pivot row
 is unpacked and reduced mod p, once per column.  Over Q it runs
-fraction-free Bareiss elimination on a denominator-cleared integer matrix
-(rescaled back exactly).
+fraction-free Bareiss elimination (Bareiss 1968) on a denominator-cleared
+integer matrix, rescaled back exactly.  The rows are scaled lazily: with
+prev the last pivot, row i stores entries with
+
+    true row = stored row * prev / since[i],
+
+so a row whose entry in the current column is zero is skipped, where plain
+Bareiss would rescale all of it; Sylvester rows are shifted bands, so most
+rows sit out most early columns.  The pivot is the row whose true lead has
+the fewest bits, estimated as bitlen(stored lead) - bitlen(since), the first
+such row on a tie.
 
 `resultant_euclid` instead runs a remainder sequence:
 Res(f, g) = (-1)^{deg f * deg g} * lc(g)^{deg f - deg r} * Res(g, r)
@@ -132,29 +141,59 @@ def _det_prime(rows: list[list[int]], p: int) -> int:
 
 
 def _det_bareiss(rows: list[list[int]]) -> int:
-    """Fraction-free elimination; intermediate entries stay integral."""
+    """Fraction-free (Bareiss) elimination with lazily scaled rows.
+
+    Works in place on integer rows; entries left of the current column go
+    stale and are never read again.  prev is the last pivot, and each row i
+    carries one int since[i] with
+
+        true row = stored row * prev / since[i],
+
+    where the true row is the one plain Bareiss would hold, whose entries
+    are minors and so integers.  Plain Bareiss rescales a row whose lead is
+    zero to pk * row / prev at every column; here such a row is skipped and
+    its since[i] alone keeps that factor.  A row with a nonzero lead takes
+    the Bareiss step straight from its stored entries:
+
+        (pk * true_j - true_lead * pivot_j) / prev
+            = (pk * stored_j - stored_lead * pivot_j) / since[i],
+
+    exactly, after which it is up to date and since[i] = pk.  The pivot row
+    is brought up to date (one multiply and one exact division per entry)
+    before it is used.  The pivot is the row with a nonzero lead whose true
+    lead has the fewest bits, estimated as bitlen(stored lead) -
+    bitlen(since), the first such row on a tie; since is swapped with its
+    row.
+    """
     n = len(rows)
+    since = [1] * n
     sign = 1
     prev = 1  # the last pivot; after column n - 1 it is the determinant up to sign
     for k in range(n):
-        if rows[k][k] == 0:
-            pivot_row = None
-            for r in range(k + 1, n):
-                if rows[r][k]:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                return 0
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+        pivot, fewest = -1, 0
+        for i in range(k, n):
+            lead = rows[i][k]
+            if lead:
+                bits = lead.bit_length() - since[i].bit_length()
+                if pivot < 0 or bits < fewest:
+                    pivot, fewest = i, bits
+        if pivot < 0:
+            return 0
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            since[k], since[pivot] = since[pivot], since[k]
             sign = -sign
-        pk = rows[k][k]
-        rk = rows[k]
+        tail = rows[k][k:]
+        if since[k] != prev:
+            tail = [x * prev // since[k] for x in tail]
+        pk, rk = tail[0], tail[1:]
         for i in range(k + 1, n):
             ri = rows[i]
             lead = ri[k]
-            rows[i] = [0] * (k + 1) + [
-                (pk * ri[j] - lead * rk[j]) // prev for j in range(k + 1, n)
-            ]
+            if lead:
+                s = since[i]
+                ri[k + 1 :] = [(pk * x - lead * y) // s for x, y in zip(ri[k + 1 :], rk)]
+                since[i] = pk
         prev = pk
     return sign * prev
 

@@ -252,6 +252,7 @@ def test_load_rejects_undecodable_files(tmp_path, capsys, content):
         lambda doc: doc.update(degrees=[False, True]),
         lambda doc: doc["steps"]["2"].update(t=[{"alpha": [True, False], "coeffs": ["0"]}]),
         lambda doc: doc.update(field={"prime": 7}) or doc["steps"]["2"].update(v="1_0"),
+        lambda doc: doc["steps"].update({"2_0": doc["steps"]["2"]}),
     ],
 )
 def test_load_rejects_malformed_documents(tmp_path, mutate):
@@ -421,6 +422,33 @@ def test_fuzz_rejects_out_of_range_bounds(tmp_path, capsys, flags):
 def test_fuzz_rejects_composite_field(capsys):
     with pytest.raises(SystemExit):
         main(["fuzz", "--seed", "1", "--count", "1", "--field", "10", "--out", "/tmp/x"])
+
+
+@pytest.mark.parametrize(
+    "command, flag, text",
+    [
+        ("fuzz", "--field", "10_007"),
+        ("fuzz", "--n-max", "d+1_0"),
+        ("fuzz", "--n-max", "1_0"),
+        ("fuzz", "--count", "١٠"),  # Arabic-Indic ten
+        ("fuzz", "--seed", "٣"),
+        ("sequence", "--n", "1_0"),
+        ("resultant", "--n", "٣"),
+        ("verify", "--n-max", "1_0"),
+    ],
+)
+def test_command_line_numbers_are_ascii_decimal(tmp_path, capsys, command, flag, text):
+    # int() alone reads "10_007" as 10007 and "١٠" as 10
+    out = tmp_path / "fz"
+    if command == "fuzz":
+        argv = ["fuzz", "--seed", "1", "--count", "1", "--out", str(out), flag, text]
+    else:
+        argv = [command, str(SCHUR_FILE), flag, text]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"error: argument {flag}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- PRNG ---------------------------------------------------------------------

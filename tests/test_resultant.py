@@ -1,4 +1,6 @@
+import functools
 import importlib.util
+import math
 import random
 import sys
 from fractions import Fraction
@@ -20,6 +22,7 @@ from recres import (
     validate,
 )
 from recres.cli import spec_from_json
+from recres.field import is_prime
 from helpers import rand_fraction_poly, rand_nonzero_poly, rand_poly, rand_scalar
 
 Q = rationals()
@@ -223,6 +226,127 @@ def test_resultant_over_q_reduces_to_resultant_over_fp(p):
         assert resultant_sylvester(*reduced) == Scalar(fp, over_q.numerator)
 
 
+@functools.cache
+def crt_primes() -> tuple[int, ...]:
+    """The 600 largest primes below 2^64 (a modulus of about 38 kbit), where
+    `is_prime` is deterministic."""
+    primes, candidate = [], 2**64 - 1
+    while len(primes) < 600:
+        if is_prime(candidate):
+            primes.append(candidate)
+        candidate -= 2
+    return tuple(primes)
+
+
+def crt_determinant(rows: list[list[int]]) -> int:
+    """det of an integer matrix from packed F_p determinants, by CRT.
+
+    The modulus exceeds twice the row-Hadamard bound prod ||row||_2, so the
+    symmetric residue is the determinant.  Shares no code with Bareiss.
+    """
+    bound = math.prod(math.isqrt(sum(x * x for x in row)) + 1 for row in rows)
+    primes = iter(crt_primes())
+    value, modulus = 0, 1
+    while modulus <= 2 * bound:
+        p = next(primes)
+        residue = determinant(prime_field(p), rows).value
+        value += modulus * ((residue - value) * pow(modulus, -1, p) % p)
+        modulus *= p
+    return value - modulus if 2 * value > modulus else value
+
+
+def big(rng, bits=1000):
+    """A signed integer of about `bits` bits, never zero."""
+    return rng.choice((-1, 1)) * (rng.getrandbits(bits) | 1)
+
+
+def banded(rng, size, width, bits=1000):
+    return [[big(rng, bits) if abs(i - j) <= width else 0 for j in range(size)] for i in range(size)]
+
+
+def lazy_path_matrices(rng):
+    """Integer matrices whose elimination skips rows: banded and
+    Sylvester-shaped ones with ~1 kbit entries, a staircase whose rows sit
+    out many columns before they become the pivot, and singular ones."""
+    yield "banded-20", banded(rng, 20, 3)
+    yield "banded-wide-16", banded(rng, 16, 9)
+    for deg_f, deg_g in ((12, 10), (17, 3)):
+        f, g = (Poly(Q, [big(rng) for _ in range(deg + 1)]) for deg in (deg_f, deg_g))
+        yield f"sylvester-{deg_f}-{deg_g}", [[x.numerator for x in row] for row in sylvester_matrix(f, g)]
+    # each staircase row is zero left of its start column and leads there
+    # with a small entry, which makes it the pivot when that column comes;
+    # three columns start no row and take their pivot from three dense rows
+    size = 24
+    staircase = [
+        [0] * c + [rng.choice((-1, 1)) * rng.randint(1, 7)] + [big(rng) for _ in range(size - 1 - c)]
+        for c in sorted(rng.sample(range(size), size - 3))
+    ]
+    staircase += [[big(rng) for _ in range(size)] for _ in range(3)]
+    rng.shuffle(staircase)
+    yield "staircase-24", staircase
+    duplicated = banded(rng, 20, 3)
+    duplicated[9] = list(duplicated[8])
+    yield "duplicated-band-row-20", duplicated
+    zero_column = banded(rng, 20, 3)
+    for row in zero_column:
+        row[17] = 0
+    yield "zero-column-17-of-20", zero_column
+    # column 18 is a combination of columns 15 and 16: it turns zero only
+    # once the first 18 columns are eliminated
+    late = banded(rng, 20, 3)
+    a, b = big(rng, 40), big(rng, 40)
+    for row in late:
+        row[18] = a * row[15] + b * row[16]
+    yield "dependent-column-18-of-20", late
+
+
+def test_rational_determinant_against_crt_oracle():
+    rng = random.Random(41)
+    for label, rows in lazy_path_matrices(rng):
+        before = [list(row) for row in rows]
+        value = determinant(Q, rows).value
+        assert value == crt_determinant(rows), label
+        assert value.denominator == 1
+        assert (value == 0) == label.startswith(("duplicated", "zero-column", "dependent")), label
+        assert rows == before, label
+
+
+def permutation_sign(perm: list[int]) -> int:
+    """(-1)^(number of even-length cycles)."""
+    sign, seen = 1, set()
+    for start in range(len(perm)):
+        length, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            i = perm[i]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def test_rational_determinant_metamorphic_on_sylvester_matrices():
+    # det A = det A^T, and det(PA) = sgn(P) det A: the transpose and the row
+    # permutations give the elimination other zero patterns, pivots and swaps
+    n_max = 5
+    instances = load_instances()
+    inst = instances.Instance("metamorphic-m2", None, instances.M2, n_max)
+    spec = spec_from_json(instances.instance_doc(inst, 3))
+    assert validate(spec, n_max).ok
+    seq = generate(spec, n_max)
+    rng = random.Random(42)
+    for n in range(2, n_max + 1):
+        rows = sylvester_matrix(seq[n], seq[n - 1])
+        det = determinant(Q, rows)
+        assert not det.is_zero()
+        assert determinant(Q, [list(col) for col in zip(*rows)]) == det, n
+        for _ in range(3):
+            perm = list(range(len(rows)))
+            rng.shuffle(perm)
+            permuted = [rows[i] for i in perm]
+            assert determinant(Q, permuted) == det * Scalar(Q, permutation_sign(perm)), n
+
+
 # -- resultants ---------------------------------------------------------------
 
 
@@ -267,6 +391,10 @@ def test_euclid_agrees_with_sylvester_on_non_integral_rationals():
         f = rand_fraction_poly(rng, rng.randint(0, 8))
         g = rand_fraction_poly(rng, rng.randint(0, 8))
         assert resultant_euclid(f, g) == resultant_sylvester(f, g)
+    # Sylvester dimension up to 40, where Bareiss skips rows for many columns
+    for degrees in ((20, 20), (30, 10), (13, 27), (39, 1)):
+        f, g = (rand_fraction_poly(rng, degree) for degree in degrees)
+        assert resultant_euclid(f, g) == resultant_sylvester(f, g), degrees
     # a shared factor h: the remainder chain reaches 0
     h = P(Fraction(-2, 3), Fraction(5, 7), Fraction(1, 4))
     f, g = h * P(Fraction(1, 2), Fraction(-3, 5)), h * P(Fraction(7, 9), 0, Fraction(2, 11))

@@ -1,13 +1,18 @@
-"""Time the F_p Sylvester determinant on seed-fixed M2-shape pairs.
+"""Time the Sylvester determinant on seed-fixed M2-shape pairs, over F_p or Q.
 
-    python3 tools/bench_det.py [--out BENCH_det_fp.json]
+    python3 tools/bench_det.py [--field fp|q] [--out BENCH_det_<field>.json]
 
-For each n it draws the benchmark's M2-shape instance (m = 2,
-deg r_n = 2^n - 1; see bench/instances.py) over F_1000003 from seed 1,
-generates r_n and r_{n-1}, and times resultant_sylvester(r_n, r_{n-1}),
-whose Sylvester matrix has dimension 3 * 2^(n-1) - 2 (94, 190, 382 and 766
-for n = 6..9).  Each row keeps the three runs, their median and the value, so
-row sets taken on two commits can be checked for equal values.
+It draws the benchmark's M2-shape instance (m = 2, deg r_n = 2^n - 1; see
+bench/instances.py) from seed 1, generates r_n and r_{n-1} for each n, and
+times resultant_sylvester(r_n, r_{n-1}), whose Sylvester matrix has dimension
+3 * 2^(n-1) - 2.  Both fields draw the same integer coefficients, so the
+pairs are the same:
+
+    fp   over F_1000003, n = 6..9 (dimensions 94, 190, 382, 766)
+    q    over Q, n = 4..6 (dimensions 22, 46, 94)
+
+Each row keeps the three runs, their median and the value (over Q as its
+text), so row sets taken on two commits can be checked for equal values.
 
 Run it from the root of a recres source tree; it imports the package from
 the `src/` next to `tools/`.  The row set, with the Python version, the core
@@ -36,7 +41,9 @@ from recres import generate, resultant_sylvester  # noqa: E402
 from recres.cli import spec_from_json  # noqa: E402
 
 SEED = 1
-NS = (6, 7, 8, 9)
+NAME = "bench-det-fp"  # the draw depends on it; Q keeps it so both fields time the same pairs
+N_LAST = 9  # steps drawn up to n = 9 in both fields, so the initials are drawn alike
+FIELDS = {"fp": (instances.PRIME, (6, 7, 8, 9)), "q": (None, (4, 5, 6))}
 REPEATS = 3
 
 
@@ -48,11 +55,11 @@ def _git(*args: str) -> str | None:
     return out.stdout.strip()
 
 
-def measure() -> list[dict]:
-    inst = instances.Instance("bench-det-fp", instances.PRIME, instances.M2, max(NS))
-    seq = generate(spec_from_json(instances.instance_doc(inst, SEED)), inst.n_last)
+def measure(prime: int | None, ns: tuple[int, ...]) -> list[dict]:
+    inst = instances.Instance(NAME, prime, instances.M2, N_LAST)
+    seq = generate(spec_from_json(instances.instance_doc(inst, SEED)), max(ns))
     rows = []
-    for n in NS:
+    for n in ns:
         f, g = seq[n], seq[n - 1]
         runs, value = [], None
         for _ in range(REPEATS):
@@ -64,7 +71,7 @@ def measure() -> list[dict]:
             "dimension": f.degree() + g.degree(),
             "seconds": statistics.median(runs),
             "runs": runs,
-            "value": value,
+            "value": value if isinstance(value, int) else str(value),
         })
         print(f"n={n} dim={rows[-1]['dimension']} median {rows[-1]['seconds']:.3f} s", file=sys.stderr)
     return rows
@@ -72,21 +79,24 @@ def measure() -> list[dict]:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_det_fp.json")
+    parser.add_argument("--field", choices=FIELDS, default="fp")
+    parser.add_argument("--out", type=Path, help="default BENCH_det_<field>.json at the root of the tree")
     args = parser.parse_args()
+    prime, ns = FIELDS[args.field]
+    out = args.out or ROOT / f"BENCH_det_{args.field}.json"
     status = _git("status", "--porcelain", "--", "src")
     run = {
         "git_sha": _git("rev-parse", "HEAD"),
         "src_modified": None if status is None else bool(status),
         "python": platform.python_version(),
         "cores": os.cpu_count(),
-        "prime": instances.PRIME,
+        "prime": prime,
         "seed": SEED,
-        "rows": measure(),
+        "rows": measure(prime, ns),
     }
-    doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {"runs": []}
+    doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {"runs": []}
     doc["runs"].append(run)
-    args.out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return 0
 
 

@@ -46,13 +46,7 @@ from .recurrence import (
     step,
     validate,
 )
-from .closedform import (
-    FormulaContext,
-    ZeroCoefficientError,
-    degree_formula,
-    order_two_formula,
-    schur_formula,
-)
+from .closedform import FormulaContext, degree_formula, order_two_formula
 
 __version__ = "0.1.0"
 
@@ -72,6 +66,5 @@ __all__ = [
     "schur_recurrence", "linear_recurrence", "order_two_recurrence",
     "MissingStepError", "WindowSizeError", "DegreeMismatchError",
     # closedform
-    "FormulaContext", "degree_formula",
-    "schur_formula", "order_two_formula", "ZeroCoefficientError",
+    "FormulaContext", "degree_formula", "order_two_formula",
 ]

@@ -213,7 +213,19 @@ def load_instance(path: str) -> RecurrenceSpec:
 
 
 def _write_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    try:
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise _CommandFailed(2, f"error: cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _check_output(path: Path) -> None:
+    """Refuse an output file that names a directory or lies in no
+    directory, before anything is computed; `_write_json` catches the rest."""
+    if path.is_dir():
+        raise _CommandFailed(2, f"error: cannot write {path}: it is a directory")
+    if not path.parent.is_dir():
+        raise _CommandFailed(2, f"error: cannot write {path}: {path.parent} is not a directory")
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +301,12 @@ def _base_report(command: str, spec: RecurrenceSpec, instance: str) -> dict:
 
 
 def _checked_instance(args, n: int, flag: str, first: int) -> tuple[RecurrenceSpec, ValidationReport]:
-    """Load args.instance, require n >= d + first and validate steps
-    d+1..n: the one validation a command runs before computing anything.
-    On failure raise _CommandFailed with the exit code and the reason."""
+    """Check the --json path, load args.instance, require n >= d + first
+    and validate steps d+1..n: the one validation a command runs before
+    computing anything.  On failure raise _CommandFailed with the exit
+    code and the reason."""
+    if args.json:
+        _check_output(Path(args.json))
     try:
         spec = load_instance(args.instance)
     except InstanceFormatError as exc:
@@ -553,7 +568,10 @@ def cmd_fuzz(args) -> int:
         print(f"error: --n-max must be >= d-max+1 = {args.d_max + 1}", file=sys.stderr)
         return 2
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _CommandFailed(2, f"error: cannot write {out_dir}: {exc.strerror or exc}") from None
     desc = args.field
     bounds = {
         "d_max": args.d_max,

@@ -33,11 +33,15 @@ deg r_n = k (1 + m + ... + m^{n-d-1}) + i_d m^{n-d},
 L_n = lc(r_d)^{m^{n-d}} prod_{s=d+1}^{n} a_{k,s}^{m^{n-s}} off the edge
 branch, and R_n = (-1)^{sum_s m^{n-s} sigma(s)} R_d^{m^{n-d}}
 prod_{s=d+1}^{n} (L_{s-1}^{gamma(s)} v_s^{deg r_{s-1}} C_{s-1}^l)^{m^{n-s}};
-order_two_formula evaluates that unrolled form independently.
+order_two_formula evaluates that unrolled form independently.  The
+classical three-term product (-1)^{n(n-1)/2} prod_{i<n} a_i^{2(n-i)}
+c_{i+1}^i is the case d = m = k = 1, l = 0; the test suite keeps it as
+an oracle.
 
-FormulaContext keeps the per-step values of the pass; a context is meant
-to be used from one thread at a time, while distinct contexts are fully
-independent.
+FormulaContext keeps deg r_s, L_s, C_s and R_s in four lists that share
+the index s; R_d enters once, when the pass first runs.  A query
+advances the pass to n and reads index n.  A context is meant to be used
+from one thread at a time, while distinct contexts are fully independent.
 """
 
 from __future__ import annotations
@@ -47,23 +51,11 @@ from .poly import Poly
 from .recurrence import RecurrenceSpec, edge_base, edge_branch
 from .resultant import resultant_sylvester
 
-__all__ = [
-    "degree_formula",
-    "FormulaContext",
-    "schur_formula",
-    "order_two_formula",
-    "ZeroCoefficientError",
-]
-
-
-class ZeroCoefficientError(ValueError):
-    """A coefficient that must be nonzero is zero."""
+__all__ = ["degree_formula", "FormulaContext", "order_two_formula"]
 
 
 def _geom(m: int, count: int) -> int:
-    """1 + m + ... + m^(count-1); 0 for count <= 0."""
-    if count <= 0:
-        return 0
+    """1 + m + ... + m^(count-1)."""
     if m == 1:
         return count
     return (m**count - 1) // (m - 1)
@@ -89,28 +81,35 @@ class FormulaContext:
 
     def __init__(self, spec: RecurrenceSpec):
         self.spec = spec
-        # index s holds deg r_s, L_s and C_s; index s - d holds R_s
+        # index s holds deg r_s, L_s, C_s and R_s; R_s starts at s = d
         self._deg = list(spec.degrees)
         self._lead = [r.leading_coeff() for r in spec.initials]
         self._const = [r.coeff_at(0) for r in spec.initials]
-        self._resultants: list[Scalar] = []
+        self._res: list[Scalar | None] = [None] * spec.d
 
     def _advance(self, n: int) -> None:
-        """Extend deg r_s, L_s and C_s to s = n."""
+        """Extend deg r_s, L_s, C_s and R_s to s = n."""
         spec = self.spec
-        m, k = spec.m, spec.k
-        deg, lead, const = self._deg, self._lead, self._const
+        d, m, k, l = spec.d, spec.m, spec.k, spec.l
+        deg, lead, const, res = self._deg, self._lead, self._const, self._res
+        if n > d and len(res) == d:
+            res.append(resultant_sylvester(spec.initials[d], spec.initials[d - 1]))
         for s in range(len(deg), n + 1):
             coeffs = spec.step_coeffs(s)
             deg.append(k + m * deg[s - 1])
-            if s == spec.d + 1 and edge_branch(spec):
+            if s == d + 1 and edge_branch(spec):
                 lead.append(edge_base(spec))
             else:
                 lead.append(coeffs.g.coeff_at(k) * lead[s - 1] ** m)
             value = coeffs.g.coeff_at(0) * const[s - 1] ** m
-            if spec.l == 0:
+            if l == 0:
                 value = value + coeffs.v * const[s - 2] ** m
             const.append(value)
+            gamma = deg[s] - l - m * deg[s - 2]
+            value = res[s - 1] ** m * lead[s - 1] ** gamma * coeffs.v ** deg[s - 1] * const[s - 1] ** l
+            if (deg[s] * deg[s - 1] + l * deg[s - 1]) % 2:
+                value = -value
+            res.append(value)
 
     def leading_term(self, n: int) -> Scalar:
         """L_n = lc(r_n) by closed form, n >= d."""
@@ -127,59 +126,12 @@ class FormulaContext:
         self._advance(n)
         return self._const[n]
 
-    def base_resultant(self) -> Scalar:
-        """R_d = Res(r_d, r_{d-1}), computed by resultant_sylvester."""
-        if not self._resultants:
-            d = self.spec.d
-            self._resultants.append(resultant_sylvester(self.spec.initials[d], self.spec.initials[d - 1]))
-        return self._resultants[0]
-
     def resultant_formula(self, n: int) -> Scalar:
         """Res(r_n, r_{n-1}) by the closed form, for n >= d+1."""
-        spec = self.spec
-        d, m, l = spec.d, spec.m, spec.l
-        if n < d + 1:
-            raise ValueError(f"resultant_formula needs n >= d+1 = {d + 1}")
+        if n < self.spec.d + 1:
+            raise ValueError(f"resultant_formula needs n >= d+1 = {self.spec.d + 1}")
         self._advance(n)
-        self.base_resultant()
-        deg, lead, const, resultants = self._deg, self._lead, self._const, self._resultants
-        value = resultants[-1]
-        for s in range(d + len(resultants), n + 1):
-            gamma = deg[s] - l - m * deg[s - 2]
-            value = (
-                value**m
-                * lead[s - 1] ** gamma
-                * spec.step_coeffs(s).v ** deg[s - 1]
-                * const[s - 1] ** l
-            )
-            if (deg[s] * deg[s - 1] + l * deg[s - 1]) % 2:
-                value = -value
-            resultants.append(value)
-        return resultants[n - d]
-
-
-def schur_formula(a: list[Scalar], c: list[Scalar], n: int) -> Scalar:
-    """Classical resultant of consecutive three-term-recurrence polynomials:
-
-        Res(r_n, r_{n-1}) = (-1)^{n(n-1)/2} prod_{i=1}^{n-1} a_i^{2(n-i)} c_{i+1}^i
-
-    for r_n = (a_n x + b_n) r_{n-1} - c_n r_{n-2}, r_0 = 1,
-    r_1 = a_1 x + b_1.  ``a[i]`` and ``c[i]`` hold a_{i+1} and c_{i+1}.
-    """
-    if n < 2:
-        raise ValueError("the formula starts at n = 2")
-    if len(a) < n - 1 or len(c) < n:
-        raise ValueError(f"need a_1..a_{n - 1} and c_2..c_{n}")
-    desc = a[0].descriptor
-    value = Scalar(desc, 1)
-    for i in range(1, n):
-        a_i, c_next = a[i - 1], c[i]
-        if a_i.is_zero() or c_next.is_zero():
-            raise ZeroCoefficientError(f"a_{i} and c_{i + 1} must be nonzero")
-        value = value * a_i ** (2 * (n - i)) * c_next**i
-    if (n * (n - 1) // 2) % 2:
-        value = -value
-    return value
+        return self._res[n]
 
 
 def order_two_formula(initial0: Poly, initial1: Poly, t_tables, n: int) -> Scalar:

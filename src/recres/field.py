@@ -190,8 +190,6 @@ class Scalar:
             return self.inv() ** (-exponent)
         if self.descriptor.is_prime_field:
             return Scalar(self.descriptor, pow(self.value, exponent, self.descriptor.modulus))
-        if self.is_zero():
-            return Scalar(self.descriptor, 1) if exponent == 0 else self
         return Scalar(self.descriptor, self.value**exponent)
 
     # -- text encoding ---------------------------------------------------

@@ -64,3 +64,17 @@ def rand_instance(
         if validate(spec, n_max).ok:
             return spec, n_max
     raise RuntimeError("could not draw a valid instance")
+
+
+def schur_formula(a: list[Scalar], c: list[Scalar], n: int) -> Scalar:
+    """The classical product, an oracle independent of FormulaContext:
+
+        Res(r_n, r_{n-1}) = (-1)^{n(n-1)/2} prod_{i=1}^{n-1} a_i^{2(n-i)} c_{i+1}^i
+
+    for r_n = (a_n x + b_n) r_{n-1} - c_n r_{n-2}, r_0 = 1,
+    r_1 = a_1 x + b_1, n >= 2.  ``a[i]`` and ``c[i]`` hold a_{i+1} and c_{i+1}.
+    """
+    value = Scalar(a[0].descriptor, 1)
+    for i in range(1, n):
+        value = value * a[i - 1] ** (2 * (n - i)) * c[i] ** i
+    return -value if (n * (n - 1) // 2) % 2 else value

@@ -30,12 +30,11 @@ from recres import (
     rationals,
     resultant_euclid,
     resultant_sylvester,
-    schur_formula,
     schur_recurrence,
     validate,
 )
 from recres.cli import main
-from helpers import rand_nonzero_poly, rand_poly, rand_scalar
+from helpers import rand_nonzero_poly, rand_poly, rand_scalar, schur_formula
 
 Q = rationals()
 FP = prime_field(10007)

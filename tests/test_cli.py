@@ -451,6 +451,55 @@ def test_command_line_numbers_are_ascii_decimal(tmp_path, capsys, command, flag,
     assert not out.exists()
 
 
+def assert_cannot_write(capsys, path):
+    """One `error: cannot write PATH: ...` line on stderr, nothing on stdout:
+    the command stopped before it computed anything."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {path}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_fuzz_out_that_is_a_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert main(fuzz_args(out, count=1)) == 2
+    assert_cannot_write(capsys, out)
+    assert out.read_text() == "not a directory\n"
+
+
+def test_fuzz_unwritable_dump_exits_2(tmp_path, capsys):
+    # the directory can be made, but a dump inside it cannot be written
+    out = tmp_path / "fz"
+    (out / "instance_000.json").mkdir(parents=True)
+    assert main(fuzz_args(out, count=1)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out / 'instance_000.json'}: ")
+    assert err.count("\n") == 1
+
+
+ON_INSTANCE = {
+    "sequence": ["--n", "3"],
+    "resultant": ["--n", "3"],
+    "verify": ["--n-max", "3"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(ON_INSTANCE))
+def test_json_into_missing_directory_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "r.json"
+    assert main([command, str(SCHUR_FILE), *ON_INSTANCE[command], "--json", str(out)]) == 2
+    assert_cannot_write(capsys, out)
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("command", sorted(ON_INSTANCE))
+def test_json_to_a_directory_exits_2(tmp_path, capsys, command):
+    assert main([command, str(SCHUR_FILE), *ON_INSTANCE[command], "--json", str(tmp_path)]) == 2
+    assert_cannot_write(capsys, tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
 # -- PRNG ---------------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from recres import (
     RecurrenceSpec,
     Scalar,
     StepCoeffs,
-    ZeroCoefficientError,
+    TTerm,
     degree_formula,
     generate,
     order_two_formula,
@@ -17,11 +18,11 @@ from recres import (
     rationals,
     resultant_euclid,
     resultant_sylvester,
-    schur_formula,
     schur_recurrence,
     step,
+    validate,
 )
-from helpers import rand_instance, rand_poly, rand_scalar
+from helpers import rand_instance, rand_poly, rand_scalar, schur_formula
 
 Q = rationals()
 FP = prime_field(10007)
@@ -203,7 +204,7 @@ def test_resultant_formula_shared_initial_root_gives_zero():
     )
     ctx = FormulaContext(spec)
     seq = generate(spec, 3)
-    assert ctx.base_resultant().is_zero()
+    assert resultant_sylvester(r1, r0).is_zero()
     for n in (2, 3):
         assert ctx.resultant_formula(n).is_zero()
         assert resultant_sylvester(seq[n], seq[n - 1]).is_zero()
@@ -248,7 +249,72 @@ def test_recursive_step_identity():
                 assert r_n == rhs
 
 
-# -- the classical closed form ----------------------------------------------------
+# -- tiny primes and non-integral rationals --------------------------------------
+
+
+def check_every_closed_form(spec, n_max):
+    """resultant_formula = Sylvester = Euclid, leading_term = lc(r_n) and
+    constant_value = r_n(0) for d <= n <= n_max; the number of nonzero
+    resultants checked."""
+    seq = generate(spec, n_max)
+    ctx = FormulaContext(spec)
+    origin = Scalar(spec.descriptor, 0)
+    nonzero = 0
+    for n in range(spec.d, n_max + 1):
+        assert ctx.leading_term(n) == seq[n].leading_coeff()
+        assert ctx.constant_value(n) == seq[n].evaluate(origin)
+        if n > spec.d:
+            closed = ctx.resultant_formula(n)
+            assert closed == resultant_sylvester(seq[n], seq[n - 1]) == resultant_euclid(seq[n], seq[n - 1])
+            nonzero += not closed.is_zero()
+    return nonzero
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_closed_forms_over_tiny_primes(p):
+    desc = prime_field(p)
+    rng = random.Random(110 + p)
+    nonzero = sum(check_every_closed_form(*rand_instance(rng, desc, m_max=3)) for _ in range(16))
+    assert nonzero >= 8  # most resultants vanish mod 3 or 5; enough must not
+
+
+def divided(rng, poly, den_max):
+    """poly with each coefficient divided by its own draw from 1..den_max."""
+    return Poly(Q, [c.value / rng.randint(1, den_max) for c in poly.coeffs])
+
+
+def rand_fraction_instance(rng, den_max=12):
+    """A drawn integer instance over Q whose initials, g_n, t-polynomials and
+    v_n are divided coefficientwise by denominators up to den_max, then
+    validated again."""
+    while True:
+        spec, n_max = rand_instance(rng, Q)
+        steps = {
+            n: StepCoeffs(
+                g=divided(rng, c.g, den_max),
+                v=Scalar(Q, c.v.value / rng.randint(1, den_max)),
+                t_terms=tuple(TTerm(t.alpha, divided(rng, t.poly, den_max)) for t in c.t_terms),
+            )
+            for n, c in spec.steps.items()
+        }
+        initials = tuple(divided(rng, r, den_max) for r in spec.initials)
+        spec = dataclasses.replace(spec, initials=initials, steps=steps)
+        if validate(spec, n_max).ok:
+            return spec, n_max
+
+
+def test_closed_forms_over_non_integral_rationals():
+    rng = random.Random(112)
+    denominators = set()
+    nonzero = 0
+    for _ in range(10):
+        spec, n_max = rand_fraction_instance(rng)
+        denominators.update(c.value.denominator for r in spec.initials for c in r.coeffs)
+        nonzero += check_every_closed_form(spec, n_max)
+    assert nonzero >= 15 and max(denominators) > 6
+
+
+# -- the classical closed form, a test-side oracle ------------------------------
 
 
 def test_schur_formula_examples():
@@ -273,15 +339,6 @@ def test_schur_formula_agrees_with_direct_resultant():
                 value = schur_formula(a, c, n)
                 assert value == resultant_sylvester(seq[n], seq[n - 1])
                 assert value == ctx.resultant_formula(n)
-
-
-def test_schur_formula_rejects_zero_coefficients():
-    a = ones(Q, 4)
-    c = [Scalar(Q, 1), Scalar(Q, 0), Scalar(Q, 1), Scalar(Q, 1)]
-    with pytest.raises(ZeroCoefficientError):
-        schur_formula(a, c, 3)
-    with pytest.raises(ValueError):
-        schur_formula(a, ones(Q, 4), 1)
 
 
 # -- the order-two closed form, independently evaluated ----------------------------

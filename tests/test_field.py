@@ -116,6 +116,7 @@ def test_text_encoding_rejects_junk():
 def test_pow_conventions():
     assert Scalar(Q, 0) ** 0 == Scalar(Q, 1)
     assert Scalar(F7, 0) ** 0 == Scalar(F7, 1)
+    assert Scalar(Q, 0) ** 5 == Scalar(Q, 0)
     assert Scalar(F7, 3) ** -1 == Scalar(F7, 3).inv()
     assert Scalar(Q, Fraction(2, 3)) ** -2 == Scalar(Q, Fraction(9, 4))
 

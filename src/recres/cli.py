@@ -570,8 +570,11 @@ def cmd_fuzz(args) -> int:
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        stale = next(out_dir.iterdir(), None)
     except OSError as exc:
         raise _CommandFailed(2, f"error: cannot write {out_dir}: {exc.strerror or exc}") from None
+    if stale is not None:  # its files would sit beside a report that does not list them
+        raise _CommandFailed(2, f"error: cannot write {stale}: --out must be a new or empty directory")
     desc = args.field
     bounds = {
         "d_max": args.d_max,
@@ -695,7 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument("--field", type=_parse_field, default=prime_field(10007), help="'rational' or a prime (default 10007)")
     fuzz.add_argument("--coeff-bound", type=_int_at_least(1), default=5, help="coefficients drawn from [-B, B], B >= 1 (default 5)")
-    fuzz.add_argument("--out", required=True, metavar="DIR")
+    fuzz.add_argument("--out", required=True, metavar="DIR", help="a new or empty directory")
     fuzz.set_defaults(func=cmd_fuzz)
     return parser
 

@@ -203,14 +203,16 @@ class Poly:
         """Power by repeated squaring; exponent must be >= 0."""
         if exponent < 0:
             raise ValueError("polynomial exponent must be >= 0")
-        result = Poly.one(self.descriptor)
+        if not exponent:
+            return Poly.one(self.descriptor)
         base = self
-        while exponent:
+        while not exponent & 1:
+            base, exponent = base * base, exponent >> 1
+        result = base
+        while exponent := exponent >> 1:
+            base = base * base
             if exponent & 1:
                 result = result * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
         return result
 
     def shift(self, powers: int) -> "Poly":
@@ -236,14 +238,14 @@ class Poly:
         if self.descriptor.is_prime_field:
             p = self.descriptor.modulus
             inv = pow(b[-1], p - 2, p)
+            # lazy reduction: an entry loses < p^2 per row and stays an exact
+            # int; a lead is reduced as it is read, the remainder in _make
             for i in range(len(q) - 1, -1, -1):
-                c = a[i + db]
+                c = a[i + db] * inv % p
                 if c:
-                    c = c * inv % p
                     q[i] = c
-                    for j, bj in enumerate(b):
-                        a[i + j] = (a[i + j] - c * bj) % p
-            return Poly._raw(self.descriptor, q), Poly._raw(self.descriptor, _strip(a[:db]))
+                    a[i : i + len(b)] = [x - c * y for x, y in zip(a[i : i + len(b)], b)]
+            return Poly._raw(self.descriptor, q), Poly._make(self.descriptor, a[:db])
         # self = a / self._den and other = b / other._den over Z; the
         # running remainder is a / (self._den * den), with den grown only
         # when lc(b) does not divide the next leading term.  q holds the
@@ -263,8 +265,7 @@ class Poly:
                     den *= u
                 c //= g
                 q[i] = c
-                for j, bj in enumerate(b):
-                    a[i + j] -= c * bj
+                a[i : i + len(b)] = [x - c * y for x, y in zip(a[i : i + len(b)], b)]
         den *= self._den
         quotient = Poly._make(self.descriptor, [v * other._den for v in q], den)
         return quotient, Poly._make(self.descriptor, a[:db], den)

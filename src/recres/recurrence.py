@@ -297,11 +297,11 @@ def step(spec: RecurrenceSpec, window: Sequence[Poly], n: int) -> Poly:
     for term in coeffs.t_terms:
         if term.poly.is_zero():
             continue
-        monomial = Poly.one(spec.descriptor)
+        monomial = term.poly
         for r, a in zip(window, term.alpha):
             if a:
                 monomial = monomial * r**a
-        result = result + term.poly * monomial * newest
+        result = result + monomial * newest
     trailing = (window[1] ** spec.m).scale(coeffs.v).shift(spec.l)
     return result + trailing
 

@@ -38,9 +38,12 @@ with r the remainder of f mod g, bottoming out at the constant rule
 Res(f, c) = c^{deg f}.  Over Q each remainder is split into its content
 c and primitive part P (`Poly.primitive`) and the sequence carries P,
 using Res(g, c P) = c^{deg g} Res(g, P), so the remainders stay integer
-vectors instead of growing ever larger denominators.  The two routes
-must agree everywhere; that agreement is this package's core
-differential check.
+vectors instead of growing ever larger denominators.  The step factors
+are multiplied in a balanced pairwise tree: a reduced Fraction product runs
+gcds on both operands, so folding each factor into a growing result redoes
+that work on the result at every step.  The tree only reorders exact
+products, so the value is the same.  The two routes must agree everywhere;
+that agreement is this package's core differential check.
 
 Conventions for degenerate inputs: Res with exactly one zero argument
 is 0, two nonzero constants give 1 (empty matrix), and two zero
@@ -234,13 +237,13 @@ def resultant_sylvester(f: Poly, g: Poly) -> Scalar:
 def resultant_euclid(f: Poly, g: Poly) -> Scalar:
     """Res(f, g) by the remainder-sequence recursion, iteratively.
 
-    An explicit loop with an accumulated scalar rather than recursion,
+    An explicit loop collecting the step factors rather than recursion,
     so degree ~10^3 inputs cannot hit the interpreter stack limit.
     """
     if _zero_argument(f, g):
         return Scalar(f.descriptor, 0)
     desc = f.descriptor
-    acc = Scalar(desc, 1)
+    factors = []
     sign = 0
     if f.degree() < g.degree():
         sign += f.degree() * g.degree()
@@ -248,7 +251,7 @@ def resultant_euclid(f: Poly, g: Poly) -> Scalar:
     while True:
         n, m = f.degree(), g.degree()
         if m == 0:
-            acc = acc * (g.coeff_at(0) ** n)
+            factors.append(g.coeff_at(0) ** n)
             break
         _, r = f.divrem(g)
         if r.is_zero():
@@ -258,8 +261,9 @@ def resultant_euclid(f: Poly, g: Poly) -> Scalar:
         if not desc.is_prime_field:  # over F_p the content is 1
             c, r = r.primitive()
             factor = factor * c**m
-        acc = acc * factor
+        factors.append(factor)
         f, g = g, r
-    if sign % 2:
-        acc = -acc
-    return acc
+    while len(factors) > 1:  # a balanced product tree
+        pairs = [factors[i] * factors[i + 1] for i in range(0, len(factors) - 1, 2)]
+        factors = pairs + factors[2 * len(pairs) :]
+    return -factors[0] if sign % 2 else factors[0]

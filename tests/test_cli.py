@@ -326,6 +326,21 @@ def test_fuzz_deterministic(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_fuzz_refuses_non_empty_out_dir(tmp_path, capsys):
+    # a second campaign into D would leave the first one's dumps beside a
+    # report that does not list them; an existing empty D is fine
+    out = tmp_path / "fz"
+    out.mkdir()
+    assert main(fuzz_args(out, count=3)) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main(fuzz_args(out, seed=6, count=1)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {next(out.iterdir())}: --out must be a new or empty directory\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_fuzz_count_zero(tmp_path, capsys):
     out = tmp_path / "fz0"
     assert main(fuzz_args(out, count=0)) == 0

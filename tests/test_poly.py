@@ -254,6 +254,27 @@ def assert_stored_form(f):
         assert math.gcd(f._den, *f._c) == 1
 
 
+@pytest.mark.parametrize("p", [2, 3, 1000003, 2**61 - 1])
+def test_prime_divrem_long_quotients(p):
+    # the rows of F_p divrem are reduced lazily, so a lead may be read after
+    # hundreds of unreduced row updates; f = q0 g + r0 with deg r0 < deg g
+    # has exactly one quotient and remainder
+    desc, rng = prime_field(p), random.Random(p)
+
+    def draw(degree):
+        return Poly(desc, [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)])
+
+    for deg_g, deg_q in ((1, 400), (7, 300), (60, 250), (3, 0)):
+        g, q0 = draw(deg_g), draw(deg_q)
+        for r0 in (Poly.zero(desc), draw(deg_g - 1), draw(0)):
+            f = q0 * g + r0
+            q, r = f.divrem(g)
+            assert (q, r) == (q0, r0)
+            assert q * g + r == f and r.degree() < g.degree()
+            assert_stored_form(q)
+            assert_stored_form(r)
+
+
 def operands(desc, coeff):
     poly = st.lists(coeff, max_size=6).map(lambda c: Poly(desc, c))
     return st.tuples(poly, poly, coeff.map(lambda v: Scalar(desc, v)), st.integers(0, 3))

@@ -10,6 +10,7 @@ import pytest
 
 from recres import (
     BothZeroError,
+    FormulaContext,
     Poly,
     Scalar,
     determinant,
@@ -404,6 +405,37 @@ def test_euclid_agrees_with_sylvester_on_non_integral_rationals():
     # Res(f, g) = lc(g)^2 * f(-3/5) = (1/9) * (9/25 + 1/2) = 43/450
     f, g = P(Fraction(1, 2), 0, 1), P(Fraction(1, 5), Fraction(1, 3))
     assert resultant_euclid(f, g) == resultant_sylvester(f, g) == Scalar(Q, Fraction(43, 450))
+
+
+def test_euclid_product_tree_over_q():
+    # A pair of degrees (n, n - 1) whose remainders each drop one degree
+    # gives n factors (n - 1 steps and the constant rule), so n = 1..9 runs
+    # the product tree on lists of length 1, 2, odd and even.
+    rng = random.Random(25)
+    for n in range(1, 10):
+        for f, g in (
+            (rand_poly(rng, Q, n), rand_poly(rng, Q, n - 1)),
+            (rand_fraction_poly(rng, n), rand_fraction_poly(rng, n - 1)),
+        ):
+            a, b = f, g
+            while b.degree() > 0:
+                a, b = b, a.divrem(b)[1]
+                assert b.degree() == a.degree() - 1
+            assert resultant_euclid(f, g) == resultant_sylvester(f, g), n
+            assert resultant_euclid(g, f) == resultant_sylvester(g, f), n
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_euclid_agrees_with_closed_form_past_exact_sylvester(n):
+    # Sylvester dimensions 190 and 382 over Q, out of the exact determinant's
+    # reach: the closed form and Euclid are the two routes there
+    instances = load_instances()
+    inst = instances.Instance("euclid-vs-formula-m2", None, instances.M2, n)
+    spec = spec_from_json(instances.instance_doc(inst, 11))
+    assert validate(spec, n).ok
+    seq = generate(spec, n)
+    assert seq[n].degree() + seq[n - 1].degree() == 3 * 2 ** (n - 1) - 2
+    assert resultant_euclid(seq[n], seq[n - 1]) == FormulaContext(spec).resultant_formula(n)
 
 
 def test_euclid_against_sympy_on_non_integral_rationals():

@@ -17,9 +17,12 @@ most significant slot, so clearing a column costs one C-level bigint
 multiply-add per lower row instead of a Python loop over its entries
 (Kronecker packing, as in Schonhage 1982 and Harvey, JSC 2009).  A slot is
 w = 2 bitlen(p) + bitlen(N) + 1 bits for an N x N matrix, rounded up to
-whole bytes.  It starts below p and gains at most (p - 1)^2 per column, so
-it stays below p + N (p - 1)^2 < 2^w and never carries; only the pivot row
-is unpacked and reduced mod p, once per column.  Over Q it runs
+whole bytes.  Once per column the pivot row is reduced and negated without
+unpacking it: a Barrett quotient (Barrett, CRYPTO '86) is taken in all of
+its slots at once, the even and the odd slots apart so that each product
+has w spare bits above it, which leaves every negated slot in (0, 2p].  A
+slot starts below p and gains at most 2p (p - 1) per column, so it stays
+below p + 2 N p (p - 1) < 2^w and never carries.  Over Q it runs
 fraction-free Bareiss elimination (Bareiss 1968) on a denominator-cleared
 integer matrix, rescaled back exactly.  The rows are scaled lazily: with
 prev the last pivot, row i stores entries with
@@ -96,22 +99,59 @@ def sylvester_matrix(f: Poly, g: Poly) -> list[list]:
     return rows
 
 
+def _negate_mod_p(y: int, p: int, w: int, even: int, ones: int) -> int:
+    """The w-bit slots of y negated mod p, each into (0, 2p], with no
+    Python operation per slot.
+
+    Every slot x of y is below 2^w, and 2p < 2^w.  even has all w bits set
+    in the slots at even places counted from the least significant (0, 2,
+    4, ...) and reaches at least as far as y; ones holds 1 in every slot of
+    y and in no other.  With mu = floor(2^w / p), the Barrett quotient of x
+    is q = floor(x mu / 2^w), and then
+
+        x / p - 1 < x / p - x / 2^w <= x mu / 2^w <= x / p,
+
+    because mu > 2^w / p - 1 and x < 2^w.  So q is floor(x / p) or one
+    less, and x - q p lies in [0, 2p).  The even slots and the odd slots
+    (shifted down by w) are taken apart: each slot then has w zero bits
+    above it, so x mu < 2^(2w) fits below the next slot of its half, the
+    shift by w leaves q in the slot and drops the low half of x mu into the
+    gap below, and masking with even clears that gap.  The result is
+    (2 ones + Q) p - y with Q the quotients in y's slots: slot by slot it is
+    2p - (x - q p), in (0, 2p] and so below 2^w, so the exact sum needs no
+    carry or borrow between slots.
+    """
+    mu = (1 << w) // p
+    q_even = ((y & even) * mu >> w) & even
+    q_odd = (((y >> w) & even) * mu >> w) & even
+    return (2 * ones + q_even + (q_odd << w)) * p - y
+
+
 def _det_prime(rows: list[list[int]], p: int) -> int:
     """Gaussian elimination over F_p with each row packed into one int.
 
     Entry (i, j) of the N x N matrix is x % p shifted left by
     w * (N - 1 - j).  Clearing a column adds (lead / pivot) times the
     negated pivot row to each lower row whose top slot is nonzero, after
-    masking that slot off.
+    masking that slot off.  The negated pivot row comes from
+    `_negate_mod_p`, with every slot in (0, 2p].  A slot starts below p,
+    and a column adds at most (p - 1) 2p to it, so after the at most N - 1
+    columns that reach it, it is below
+
+        p + 2 (N - 1) p (p - 1) <= 2 N p^2 < 2^(2 bitlen(p) + bitlen(N) + 1) <= 2^w
+
+    and never carries into its neighbour.  The rows are packed with one
+    int.to_bytes call per distinct entry, not per entry: a Sylvester matrix
+    repeats each coefficient along its band and is half zeros.
     """
     size = len(rows)
-    # A slot starts below p and gains at most (p - 1)^2 per column, so it
-    # stays below p + N (p - 1)^2 < 2^(2 bitlen(p) + bitlen(N) + 1) and never
-    # carries into its neighbour.  Whole bytes let rows pack and unpack
-    # through int.to_bytes and int.from_bytes.
+    # whole bytes let rows pack through int.from_bytes
     nbytes = (2 * p.bit_length() + size.bit_length() + 8) // 8
     w = 8 * nbytes
-    packed = [int.from_bytes(b"".join([(x % p).to_bytes(nbytes, "big") for x in row]), "big") for row in rows]
+    slot = {x: (x % p).to_bytes(nbytes, "big") for x in set().union(*rows)}
+    packed = [int.from_bytes(b"".join(map(slot.__getitem__, row)), "big") for row in rows]
+    even = int.from_bytes((bytes(nbytes) + b"\xff" * nbytes) * (size // 2 + 1), "big")
+    ones = int.from_bytes((bytes(nbytes - 1) + b"\x01") * size, "big")
     det = 1
     for col in range(size):
         shift = w * (size - 1 - col)  # the live slots right of column col
@@ -127,14 +167,8 @@ def _det_prime(rows: list[list[int]], p: int) -> int:
         det = det * pivot % p
         if not shift:
             break
-        # the pivot row right of the pivot, reduced and negated slot by slot
-        raw = packed[col].to_bytes((size - col) * nbytes, "big")
-        neg = [
-            (-int.from_bytes(raw[i : i + nbytes], "big") % p).to_bytes(nbytes, "big")
-            for i in range(nbytes, len(raw), nbytes)
-        ]
-        neg_pivot_row = int.from_bytes(b"".join(neg), "big")
         mask = (1 << shift) - 1
+        neg_pivot_row = _negate_mod_p(packed[col] & mask, p, w, even, ones & mask)
         inv = pow(pivot, -1, p)
         for r in range(col + 1, size):
             top = packed[r] >> shift

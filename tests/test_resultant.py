@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recres import (
     BothZeroError,
@@ -24,6 +26,7 @@ from recres import (
 )
 from recres.cli import spec_from_json
 from recres.field import is_prime
+from recres.resultant import _negate_mod_p
 from helpers import rand_fraction_poly, rand_nonzero_poly, rand_poly, rand_scalar
 
 Q = rationals()
@@ -146,8 +149,9 @@ def test_determinant_singular():
 
 def worst_case_accumulation(p, size):
     """L U mod p with every multiplier -1 and every reduced pivot row
-    [1, 1, ..., 1]: in each column every lower slot gains (p - 1)^2, the
-    most the packed F_p elimination can add."""
+    [1, 1, ..., 1]: in each column every lower slot gains p - 1 times a
+    negated pivot slot, 2p - 1, or p - 1 where its Barrett quotient comes
+    out one short."""
     lower = [[1 if i == j else (p - 1 if i > j else 0) for j in range(size)] for i in range(size)]
     upper = [[1 if i <= j else 0 for j in range(size)] for i in range(size)]
     return [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*upper)] for row in lower]
@@ -155,12 +159,23 @@ def worst_case_accumulation(p, size):
 
 def oracle_matrices(rng, p):
     """Square matrices of dimension 0..60 with their labels: Sylvester
-    matrices of random polynomials, two that stress slot accumulation, and
+    matrices of random polynomials, five that stress slot accumulation, and
     dense ones with unreduced and negative payloads, singular or not."""
     desc = prime_field(p)
     for size in (0, 1, 2, 3, 4, 7, 12, 20, 33, 60):
         yield f"all-p-1-{size}", [[p - 1] * size for _ in range(size)]
         yield f"worst-case-{size}", worst_case_accumulation(p, size)
+        # p - 1 under the diagonal of the last row only: every pivot row is a
+        # unit row, so each negated pivot slot is 2p at every column and the
+        # last row gains 2p (p - 1) per column, the most a slot can gain;
+        # multiples of p above the diagonal pack as 0
+        last_row = [[1 if i == j else p - 1 if i == size - 1 else 0 for j in range(size)] for i in range(size)]
+        yield f"unit-lower-last-row-{size}", last_row
+        multiples = [[x + rng.randint(-3, 3) * p if j > i else x for j, x in enumerate(row)] for i, row in enumerate(last_row)]
+        yield f"unit-lower-last-row-multiples-of-p-{size}", multiples
+        # p - 1 everywhere under the diagonal: 2p at column 0, then pivot rows
+        # whose slots are nonzero multiples of p
+        yield f"unit-lower-{size}", [[1 if i == j else p - 1 if i > j else 0 for j in range(size)] for i in range(size)]
         if size >= 1:
             deg_f = rng.randint(0, size)
             f, g = rand_poly(rng, desc, deg_f), rand_poly(rng, desc, size - deg_f)
@@ -181,7 +196,7 @@ def oracle_matrices(rng, p):
             yield f"scaled-row-{size}", scaled
 
 
-@pytest.mark.parametrize("p", [2, 3, 10007, 1000003, 2**61 - 1])
+@pytest.mark.parametrize("p", [2, 3, 10007, 1000003, 2**61 - 1, 2**89 - 1])
 def test_prime_determinant_against_bareiss_oracle(p):
     # the Q Bareiss route shares no code with the packed F_p elimination
     desc = prime_field(p)
@@ -192,6 +207,26 @@ def test_prime_determinant_against_bareiss_oracle(p):
         assert expected.denominator == 1
         assert determinant(desc, rows) == Scalar(desc, expected.numerator), label
         assert rows == before, label
+
+
+@pytest.mark.parametrize("p", [2, 3, 10007, 2**61 - 1, 2**89 - 1])
+@settings(derandomize=True, max_examples=50)
+@given(data=st.data())
+def test_negate_mod_p_lands_every_slot_in_zero_to_2p(p, data):
+    # any slot width with 2p < 2^w and slots anywhere in [0, 2^w), exact
+    # multiples of p among them: for odd p their Barrett quotient comes out
+    # one short
+    w = data.draw(st.integers(p.bit_length() + 1, 2 * p.bit_length() + 16))
+    slot = st.one_of(st.integers(0, 2**w - 1), st.integers(0, (2**w - 1) // p).map(lambda k: k * p))
+    slots = data.draw(st.lists(slot, min_size=1, max_size=70))
+    y = sum(x << (w * k) for k, x in enumerate(slots))
+    even = sum(((1 << w) - 1) << (w * k) for k in range(0, len(slots), 2))
+    ones = sum(1 << (w * k) for k in range(len(slots)))
+    out = _negate_mod_p(y, p, w, even, ones)
+    assert out >> (w * len(slots)) == 0
+    for k, x in enumerate(slots):
+        neg = (out >> (w * k)) & ((1 << w) - 1)
+        assert 0 < neg <= 2 * p and (neg + x) % p == 0, (k, x, neg)
 
 
 INSTANCES = Path(__file__).resolve().parent.parent / "bench" / "instances.py"

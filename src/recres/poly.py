@@ -11,9 +11,20 @@ in the manner of FLINT's fmpq_poly, and coefficient s is `_c[s] / _den`.
 * in both fields the last entry is nonzero; the zero polynomial is the
   empty vector.
 
-So sums, negation, products and scaling are one integer loop for both
-fields, and the kernels build no Fractions; the public accessors hand out
-Scalars.
+So sums, negation and scaling are one integer loop for both fields, and
+the kernels build no Fractions; the public accessors hand out Scalars.
+
+Over Q a product is the schoolbook `_convolve`.  Over F_p a product of more
+than `_KS_CUTOFF` coefficient pairs goes by Kronecker substitution
+(Schonhage 1982; Harvey, JSC 2009): each vector is packed into one int with
+a coefficient per fixed-width slot, the two ints are multiplied by CPython's
+Karatsuba, and the product's slots are the product's coefficients.  The
+slot width, and the proof that no slot carries, live in `_slot_bytes`; the
+packed Sylvester elimination of `resultant` uses the same helper.  An F_p
+division whose row loop would make more than `_NEWTON_CUTOFF` slot updates
+by a divisor of degree at least `_NEWTON_MIN_DIVISOR` multiplies by a Newton
+reciprocal of the reversed divisor instead (von zur Gathen and Gerhard,
+Modern Computer Algebra, Alg. 9.3 and 9.5).
 
 The degree of the zero polynomial is the distinguished sentinel
 NEG_INFINITY (float('-inf')), never -1, so that max/plus degree
@@ -27,6 +38,7 @@ values, so instances are freely shareable across threads.
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Sequence
@@ -50,6 +62,124 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
     return out
+
+
+# Below these sizes the loops win: Python 3.11 on a 2-core shared host, best
+# of 3 x 300 calls over F_3, F_10007 and F_1000003, as loop time / packed
+# time.  Products: 8 x 8 coefficients 0.7-0.75, 10 x 10 0.9-1.25, 12 x 12
+# 1.1-1.3, 2 x 100 1.0-1.3, 2 x 1000 2.1-3.0, 256 x 256 31-50.  (Over
+# F_(2^61 - 1) the slots are wider than 8 bytes and pack per entry: 2 x 1000
+# is 0.76, 32 x 32 2.6.)
+_KS_CUTOFF = 128  # coefficient pairs, len(a) * len(b)
+# Division with quotient degree k by divisor degree d, best of 3 x 20 calls
+# over F_10007 and F_1000003: the row loop makes (k + 1) d slot updates, the
+# Newton route a reciprocal of length k + 1 and products of length k and d.
+# Near (k + 1) d = 2048 the ratio is about 1: 0.97-0.99 at (1, 1024), 0.8-0.9
+# at (4, 256), 1.0 at (32, 64), 1.1 at (48, 48), 1.2-1.3 at (8, 256) and
+# 1.1-1.2 at (16, 128).  Far above it Newton wins, 5.4 at (16, 4095) and
+# 2.5-3.5 at (1024, 64), unless d < 32: a Newton pass costs more per quotient
+# coefficient than a short row, 0.5-0.9 at (4096, 16) and 0.6-0.7 at
+# (4096, 8).
+_NEWTON_CUTOFF = 2048  # slot updates of the row loop, (k + 1) d
+_NEWTON_MIN_DIVISOR = 32
+
+
+def _slot_bytes(p: int, terms: int) -> int:
+    """Bytes per slot for packing residues mod p, at most `terms` per sum.
+
+    The slot holds b = 2 bitlen(p) + bitlen(terms) + 1 bits, rounded up to
+    whole bytes so that vectors pack through bytes.  As p < 2^bitlen(p) and
+    terms < 2^bitlen(terms), every value below 2 terms p^2 fits.  Two uses
+    stay below that bound:
+
+    * a product of two vectors of residues in [0, p), the shorter of length
+      terms: each coefficient is a sum of at most terms products, each at
+      most (p - 1)^2, so it is at most terms (p - 1)^2;
+    * elimination on an N x N matrix (terms = N, `resultant._det_prime`): a
+      slot starts below p and gains at most 2 p (p - 1) per column, so it
+      stays below p + 2 N p (p - 1) < 2 N p^2.
+
+    A slot that stays below 2^(8 nbytes) never carries into its neighbour, so
+    sums and products of packed ints are exact slot by slot.
+    """
+    return (2 * p.bit_length() + terms.bit_length() + 8) // 8
+
+
+def _pack(c: Sequence[int], nbytes: int) -> int:
+    """The ascending vector c as one int: c[s] in slot s, the least
+    significant first, each slot nbytes wide; entries in [0, 2^(8 nbytes)).
+
+    Slots of up to 8 bytes go through one struct call on little-endian
+    8-byte words, narrower ones cut to their low nbytes bytes by strided
+    slices; wider slots take one int.to_bytes call per entry.
+    """
+    if nbytes > 8:
+        return int.from_bytes(b"".join([v.to_bytes(nbytes, "little") for v in c]), "little")
+    data = struct.pack(f"<{len(c)}Q", *c)
+    if nbytes < 8:
+        narrow = bytearray(nbytes * len(c))
+        for i in range(nbytes):
+            narrow[i::nbytes] = data[i::8]
+        data = narrow
+    return int.from_bytes(data, "little")
+
+
+def _unpack(x: int, nbytes: int, count: int) -> list[int]:
+    """The low count slots of x, ascending: the inverse of `_pack`."""
+    bits = 8 * nbytes * count
+    if x.bit_length() > bits:
+        x &= (1 << bits) - 1
+    data = x.to_bytes(nbytes * count, "little")
+    if nbytes > 8:
+        return [int.from_bytes(data[i : i + nbytes], "little") for i in range(0, len(data), nbytes)]
+    if nbytes < 8:
+        wide = bytearray(8 * count)
+        for i in range(nbytes):
+            wide[i::8] = data[i::nbytes]
+        data = wide
+    return list(struct.unpack(f"<{count}Q", data))
+
+
+def _ks_mul(a: Sequence[int], b: Sequence[int], p: int, count: int = 0) -> list[int]:
+    """The first count coefficients (all by default) of a * b, unreduced,
+    for nonempty vectors of residues mod p, by Kronecker substitution.
+
+    Equals `_convolve(a, b)`.  A square packs its operand once, so that
+    CPython takes its squaring path.
+    """
+    nbytes = _slot_bytes(p, min(len(a), len(b)))
+    x = _pack(a, nbytes)
+    product = x * x if a is b else x * _pack(b, nbytes)
+    return _unpack(product, nbytes, count or len(a) + len(b) - 1)
+
+
+def _reciprocal(f: Sequence[int], n: int, p: int) -> list[int]:
+    """g with f g = 1 mod x^n, for residues f with f[0] != 0 (MCA Alg. 9.3).
+
+    If f g = 1 mod x^t, then f g = 1 + x^t h mod x^(2t), and g - x^t g h is
+    the inverse mod x^(2t); each pass doubles t up to n.
+    """
+    g = [pow(f[0], -1, p)]
+    while len(g) < n:
+        t, top = len(g), min(2 * len(g), n)
+        h = [v % p for v in _ks_mul(f[:top], g, p, top)[t:]]
+        g += [-v % p for v in _ks_mul(g, h, p, top - t)]
+    return g
+
+
+def _divrem_newton(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient (reduced) and remainder (unreduced) of residue vectors with
+    len(a) >= len(b) and b[-1] != 0 (MCA Alg. 9.5).
+
+    With k = deg a - deg b and rev the coefficients read backwards,
+    rev(q) = rev(a) / rev(b) mod x^(k + 1), and r = a - q b, of which only
+    the coefficients below deg b are needed.
+    """
+    db = len(b) - 1
+    k = len(a) - 1 - db
+    qrev = _ks_mul(a[db:][::-1], _reciprocal(b[::-1], k + 1, p), p, k + 1)
+    q = [v % p for v in reversed(qrev)]
+    return q, [x - y for x, y in zip(a[:db], _ks_mul(q[:db], b[:db], p, db))]
 
 
 def _strip(c: list) -> list:
@@ -189,6 +319,8 @@ class Poly:
         a, b = self._c, other._c
         if not a or not b:
             return Poly.zero(self.descriptor)
+        if self.descriptor.is_prime_field and len(a) * len(b) > _KS_CUTOFF:
+            return Poly._make(self.descriptor, _ks_mul(a, b, self.descriptor.modulus))
         return Poly._make(self.descriptor, _convolve(a, b), self._den * other._den)
 
     __rmul__ = __mul__
@@ -237,6 +369,9 @@ class Poly:
         q = [0] * (len(a) - db)
         if self.descriptor.is_prime_field:
             p = self.descriptor.modulus
+            if db >= _NEWTON_MIN_DIVISOR and len(q) * db > _NEWTON_CUTOFF:
+                q, r = _divrem_newton(a, b, p)
+                return Poly._raw(self.descriptor, q), Poly._make(self.descriptor, r)
             inv = pow(b[-1], p - 2, p)
             # lazy reduction: an entry loses < p^2 per row and stays an exact
             # int; a lead is reduced as it is read, the remainder in _make

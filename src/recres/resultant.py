@@ -10,22 +10,23 @@ indices 1-based and out-of-range coefficients read as zero, i.e. m
 right-shifted copies of f's coefficient row stacked over n shifted
 copies of g's.  Res(f, g) is its determinant.
 
-`resultant_sylvester` evaluates that determinant exactly.  Over F_p it
-runs Gaussian elimination with first-nonzero pivoting on packed rows:
-each row is one Python int whose slots hold the entries, column 0 in the
-most significant slot, so clearing a column costs one C-level bigint
-multiply-add per lower row instead of a Python loop over its entries
-(Kronecker packing, as in Schonhage 1982 and Harvey, JSC 2009).  A slot is
-w = 2 bitlen(p) + bitlen(N) + 1 bits for an N x N matrix, rounded up to
-whole bytes.  Once per column the pivot row is reduced and negated without
-unpacking it: a Barrett quotient (Barrett, CRYPTO '86) is taken in all of
-its slots at once, the even and the odd slots apart so that each product
-has w spare bits above it, which leaves every negated slot in (0, 2p].  A
-slot starts below p and gains at most 2p (p - 1) per column, so it stays
-below p + 2 N p (p - 1) < 2^w and never carries.  Over Q it runs
-fraction-free Bareiss elimination (Bareiss 1968) on a denominator-cleared
-integer matrix, rescaled back exactly.  The rows are scaled lazily: with
-prev the last pivot, row i stores entries with
+`resultant_sylvester` evaluates that determinant exactly, building the
+matrix straight from the stored coefficient vectors.  Over F_p it runs
+Gaussian elimination with first-nonzero pivoting on packed rows: each row
+is one Python int whose slots hold the entries, column 0 in the most
+significant slot, so clearing a column costs one C-level bigint multiply-add
+per lower row instead of a Python loop over its entries (Kronecker packing,
+as in Schonhage 1982 and Harvey, JSC 2009).  The slots are those of
+`poly._slot_bytes` for an N x N matrix, whose docstring proves that no slot
+carries.  A Sylvester row is then a packed coefficient vector shifted by
+whole slots, so f and g are packed once each.  Once per column the pivot
+row is reduced and negated without unpacking it: a Barrett quotient
+(Barrett, CRYPTO '86) is taken in all of its slots at once, the even and
+the odd slots apart so that each product has spare bits above it, which
+leaves every negated slot in (0, 2p].  Over Q it runs fraction-free Bareiss
+elimination (Bareiss 1968) on the integer rows of the stored numerators,
+and divides once by the denominators they cleared.  The rows are scaled
+lazily: with prev the last pivot, row i stores entries with
 
     true row = stored row * prev / since[i],
 
@@ -59,7 +60,7 @@ import math
 from fractions import Fraction
 
 from .field import DescriptorMismatch, FieldDescriptor, Scalar
-from .poly import Poly
+from .poly import Poly, _pack, _slot_bytes
 
 __all__ = [
     "sylvester_matrix",
@@ -127,31 +128,21 @@ def _negate_mod_p(y: int, p: int, w: int, even: int, ones: int) -> int:
     return (2 * ones + q_even + (q_odd << w)) * p - y
 
 
-def _det_prime(rows: list[list[int]], p: int) -> int:
-    """Gaussian elimination over F_p with each row packed into one int.
+def _det_prime(packed: list[int], p: int, nbytes: int) -> int:
+    """Gaussian elimination over F_p on rows packed by `poly._pack`.
 
-    Entry (i, j) of the N x N matrix is x % p shifted left by
-    w * (N - 1 - j).  Clearing a column adds (lead / pivot) times the
-    negated pivot row to each lower row whose top slot is nonzero, after
-    masking that slot off.  The negated pivot row comes from
-    `_negate_mod_p`, with every slot in (0, 2p].  A slot starts below p,
-    and a column adds at most (p - 1) 2p to it, so after the at most N - 1
-    columns that reach it, it is below
-
-        p + 2 (N - 1) p (p - 1) <= 2 N p^2 < 2^(2 bitlen(p) + bitlen(N) + 1) <= 2^w
-
-    and never carries into its neighbour.  The rows are packed with one
-    int.to_bytes call per distinct entry, not per entry: a Sylvester matrix
-    repeats each coefficient along its band and is half zeros.
+    Entry (i, j) of the N x N matrix is a residue in slot N - 1 - j of
+    packed[i], slots nbytes wide from `poly._slot_bytes(p, N)`.  Clearing a
+    column adds (lead / pivot) times the negated pivot row to each lower row
+    whose top slot is nonzero, after masking that slot off.  The negated
+    pivot row comes from `_negate_mod_p`, with every slot in (0, 2p], so a
+    column adds at most (p - 1) 2p to a slot, within the bound of
+    `_slot_bytes`.  The list is eliminated in place.
     """
-    size = len(rows)
-    # whole bytes let rows pack through int.from_bytes
-    nbytes = (2 * p.bit_length() + size.bit_length() + 8) // 8
+    size = len(packed)
     w = 8 * nbytes
-    slot = {x: (x % p).to_bytes(nbytes, "big") for x in set().union(*rows)}
-    packed = [int.from_bytes(b"".join(map(slot.__getitem__, row)), "big") for row in rows]
-    even = int.from_bytes((bytes(nbytes) + b"\xff" * nbytes) * (size // 2 + 1), "big")
-    ones = int.from_bytes((bytes(nbytes - 1) + b"\x01") * size, "big")
+    even = _pack([(1 << w) - 1, 0] * (size // 2 + 1), nbytes)
+    ones = _pack([1] * size, nbytes)
     det = 1
     for col in range(size):
         shift = w * (size - 1 - col)  # the live slots right of column col
@@ -257,15 +248,38 @@ def determinant(descriptor: FieldDescriptor, rows: list[list]) -> Scalar:
     Q on the denominator-cleared integer rows.
     """
     if descriptor.is_prime_field:
-        return Scalar(descriptor, _det_prime(rows, descriptor.modulus))
+        p = descriptor.modulus
+        nbytes = _slot_bytes(p, len(rows))
+        packed = [_pack([x % p for x in reversed(row)], nbytes) for row in rows]
+        return Scalar(descriptor, _det_prime(packed, p, nbytes))
     return Scalar(descriptor, _det_rational(rows))
 
 
 def resultant_sylvester(f: Poly, g: Poly) -> Scalar:
-    """Res(f, g) as the Sylvester determinant."""
+    """Res(f, g) as the Sylvester determinant.
+
+    The rows come from the stored vectors.  Over F_p, with f_row and g_row
+    the packed coefficients of f and g (constant term in the lowest slot),
+    row i of the f block is f_row shifted up by m - 1 - i slots and row i of
+    the g block is g_row shifted up by n - 1 - i.  Over Q they are the numerators
+    f._c and g._c, so the integer determinant is Res(f, g) times
+    f._den^m g._den^n.
+    """
     if _zero_argument(f, g):
         return Scalar(f.descriptor, 0)
-    return determinant(f.descriptor, sylvester_matrix(f, g))
+    desc = f.descriptor
+    n, m = f.degree(), g.degree()
+    if desc.is_prime_field:
+        p = desc.modulus
+        nbytes = _slot_bytes(p, n + m)
+        w = 8 * nbytes
+        f_row, g_row = _pack(f._c, nbytes), _pack(g._c, nbytes)
+        rows = [f_row << w * (m - 1 - i) for i in range(m)] + [g_row << w * (n - 1 - i) for i in range(n)]
+        return Scalar(desc, _det_prime(rows, p, nbytes))
+    fc, gc = list(reversed(f._c)), list(reversed(g._c))
+    rows = [[0] * i + fc + [0] * (m - 1 - i) for i in range(m)]
+    rows += [[0] * i + gc + [0] * (n - 1 - i) for i in range(n)]
+    return Scalar(desc, Fraction(_det_bareiss(rows), f._den**m * g._den**n))
 
 
 def resultant_euclid(f: Poly, g: Poly) -> Scalar:

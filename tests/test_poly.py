@@ -15,6 +15,7 @@ from recres import (
     prime_field,
     rationals,
 )
+from recres import poly
 from helpers import rand_fraction_poly, rand_nonzero_poly
 
 Q = rationals()
@@ -324,3 +325,77 @@ def test_no_operation_leaves_trailing_zeros(args):
         same.append((q * -g + r, f))
     for a, b in same:
         assert a == b and hash(a) == hash(b)
+
+
+# -- packed F_p kernels ---------------------------------------------------------
+
+# 268435399 < 2^28 packs into exactly 8-byte slots below 128 terms and into
+# 9-byte ones from 128 on; 2^61 - 1 and 2^89 - 1 always into wider ones
+PACKED_PRIMES = [2, 3, 10007, 1000003, 268435399, 2**61 - 1, 2**89 - 1]
+
+
+@pytest.mark.parametrize("nbytes", range(1, 18))
+def test_pack_unpack_round_trip(nbytes):
+    rng = random.Random(nbytes)
+    top = (1 << (8 * nbytes)) - 1
+    for length in (1, 2, 3, 8, 9, 100):
+        c = [rng.choice([0, 1, top, rng.randrange(top + 1)]) for _ in range(length)]
+        x = poly._pack(c, nbytes)
+        assert x == sum(v << (8 * nbytes * s) for s, v in enumerate(c))
+        assert poly._unpack(x, nbytes, length) == c
+        assert poly._unpack(x, nbytes, length + 3) == c + [0, 0, 0]
+        assert poly._unpack(x, nbytes, length - 1) == c[:-1]
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_kronecker_product_matches_convolve(p):
+    # lengths 1..700 on both sides of the schoolbook cutoff, squares included;
+    # the packed product is the exact integer convolution, and Poly products
+    # are in stored form
+    desc, rng = prime_field(p), random.Random(p)
+    lengths = [1, 2, 3, 8, 11, 12, 64, 65, 127, 128, 129, 300, 700]
+    pairs = [(la, lb) for la in lengths for lb in lengths if la * lb <= 700 * 128]
+    pairs += [(rng.randint(1, 700), rng.randint(1, 700)) for _ in range(4)] + [(700, 700)]
+    widths = set()
+    for la, lb in pairs:
+        a = [rng.randrange(p) for _ in range(la - 1)] + [rng.randrange(1, p)]
+        b = [rng.choice([0, p - 1, rng.randrange(p)]) for _ in range(lb - 1)] + [p - 1]
+        expected = poly._convolve(a, b)
+        assert poly._ks_mul(a, b, p) == expected, (la, lb)
+        product = Poly(desc, a) * Poly(desc, b)
+        assert product == Poly._raw(desc, [v % p for v in expected]), (la, lb)
+        assert_stored_form(product)
+        widths.add(poly._slot_bytes(p, min(la, lb)))
+    square = Poly(desc, a)
+    assert square * square == Poly._raw(desc, [v % p for v in poly._convolve(a, a)])
+    assert_stored_form(square * square)
+    if p == 268435399:
+        assert {8, 9} <= widths
+
+
+@pytest.mark.parametrize("p", [2, 3, 1000003, 2**61 - 1, 2**89 - 1])
+def test_prime_divrem_on_both_sides_of_the_newton_cutoff(p, monkeypatch):
+    # divisor degree d and quotient degree k take the Newton route when
+    # d >= _NEWTON_MIN_DIVISOR and (k + 1) d > _NEWTON_CUTOFF; f = q0 g + r0
+    # with deg r0 < deg g has exactly one quotient and remainder
+    calls = []
+    newton = poly._divrem_newton
+    monkeypatch.setattr(poly, "_divrem_newton", lambda a, b, q: calls.append(1) or newton(a, b, q))
+    desc, rng = prime_field(p), random.Random(p)
+
+    def draw(degree):
+        return Poly(desc, [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)])
+
+    shortest = poly._NEWTON_MIN_DIVISOR
+    for deg_g in (shortest - 1, shortest, 64, 1024):
+        cutoff = poly._NEWTON_CUTOFF // deg_g  # the least quotient degree past the cutoff
+        for deg_q in (cutoff - 1, cutoff, cutoff + 1):
+            g, q0 = draw(deg_g), draw(deg_q)
+            for r0 in (Poly.zero(desc), draw(deg_g - 1), draw(0)):
+                f = q0 * g + r0
+                calls.clear()
+                q, r = f.divrem(g)
+                assert (q, r) == (q0, r0), (deg_g, deg_q)
+                assert len(calls) == (deg_g >= shortest and deg_q >= cutoff), (deg_g, deg_q)
+                assert_stored_form(q)
+                assert_stored_form(r)

@@ -412,6 +412,26 @@ def test_resultant_with_zero_argument():
         resultant_euclid(z, z)
 
 
+@pytest.mark.parametrize("p", [None, 2, 3, 10007, 1000003, 2**61 - 1, 2**89 - 1])
+def test_resultant_sylvester_is_the_determinant_of_sylvester_matrix(p):
+    # resultant_sylvester builds its rows from the stored vectors (shifted
+    # packed rows over F_p, numerators over Q); sylvester_matrix and
+    # determinant build theirs entry by entry
+    rng = random.Random(p or 0)
+    desc = Q if p is None else prime_field(p)
+
+    def draw(degree):
+        return rand_fraction_poly(rng, degree) if p is None else rand_poly(rng, desc, degree, 0, p - 1)
+
+    degrees = [(0, 0), (0, 5), (5, 0), (1, 1), (2, 7), (7, 2), (3, 3), (12, 30), (30, 12)]
+    for deg_f, deg_g in degrees + [(rng.randint(0, 25), rng.randint(0, 25)) for _ in range(10)]:
+        f, g = draw(deg_f), draw(deg_g)
+        expected = determinant(desc, sylvester_matrix(f, g))
+        assert resultant_sylvester(f, g) == expected, (deg_f, deg_g)
+    h = draw(3)  # a shared factor gives 0
+    assert resultant_sylvester(h * draw(4), h * draw(2)).is_zero()
+
+
 def test_euclid_agrees_with_sylvester():
     rng = random.Random(23)
     for desc, max_deg, samples in ((FP, 40, 40), (Q, 10, 30)):

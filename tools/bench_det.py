@@ -1,26 +1,36 @@
-"""Time a resultant route on seed-fixed M2-shape pairs, over F_p or Q.
+"""Time one route on seed-fixed M2-shape pairs, over F_p or Q.
 
-    python3 tools/bench_det.py [--field fp|q] [--route sylvester|euclid] [--out FILE]
+    python3 tools/bench_det.py [--field fp|q] [--route sylvester|euclid|generate] [--out FILE]
 
 It draws the benchmark's M2-shape instance (m = 2, deg r_n = 2^n - 1; see
-bench/instances.py) from seed 1, generates r_n and r_{n-1} for each n, and
-times one route on the pair.  The default route, sylvester, times
-resultant_sylvester(r_n, r_{n-1}), whose Sylvester matrix has dimension
-3 * 2^(n-1) - 2.  Both fields draw the same integer coefficients, so the
-pairs are the same:
+bench/instances.py) from seed 1 and times one route at each n.  Both fields
+draw the same integer coefficients, so they time the same pairs.
+
+The default route, sylvester, times resultant_sylvester(r_n, r_{n-1}), whose
+Sylvester matrix has dimension 3 * 2^(n-1) - 2:
 
     fp   over F_1000003, n = 6..9 (dimensions 94, 190, 382, 766)
     q    over Q, n = 4..6 (dimensions 22, 46, 94)
 
-The euclid route times resultant_euclid(r_n, r_{n-1}) on the same pairs
-over Q at n = 6..9, where the Sylvester route cannot go past n = 6.  Its
-values run to 10^5 digits, so its rows keep the value's bit size and the
-sha256 of its hex text "num/den" in place of the value.  The default output
-file is BENCH_det_<field>.json for sylvester and BENCH_euclid_<field>.json
-for euclid.
+The euclid route times resultant_euclid(r_n, r_{n-1}) where the Sylvester
+route cannot follow, and the generate route times generate(spec, n), which
+builds r_0..r_n:
 
-Each row keeps the three runs, their median and the value (over Q as its
-text), so row sets taken on two commits can be checked for equal values.
+    fp   over F_1000003, n = 8..13 (deg r_n up to 8191)
+    q    over Q, n = 6..9 (deg r_n up to 511)
+
+The step tables are drawn up to n = 9, or up to the largest n timed if that
+is larger: the draw of the initials follows the steps, so every route that
+stops at n <= 9 times the same pairs.
+
+Each row keeps the three runs, their median and the value, so row sets taken
+on two commits can be checked for equal values.  A Sylvester value is kept
+as it is (over Q as its text).  A Euclid value runs to 10^5 digits over Q,
+so it is kept as its bit size and the sha256 of its hex text "num/den"; a
+generate value, r_n, as its degree and the sha256 of its coefficient texts
+joined by commas, ascending.  The default output file is
+BENCH_det_<field>.json for sylvester and BENCH_<route>_<field>.json
+otherwise.
 
 Run it from the root of a recres source tree; it imports the package from
 the `src/` next to `tools/`.  The row set, with the Python version, the core
@@ -51,10 +61,10 @@ from recres.cli import spec_from_json  # noqa: E402
 
 SEED = 1
 NAME = "bench-det-fp"  # the draw depends on it; Q keeps it so both fields time the same pairs
-N_LAST = 9  # steps drawn up to n = 9 in both fields, so the initials are drawn alike
-FIELDS = {"fp": (instances.PRIME, (6, 7, 8, 9)), "q": (None, (4, 5, 6))}
-ROUTES = {"sylvester": resultant_sylvester, "euclid": resultant_euclid}
-EUCLID_NS = (6, 7, 8, 9)  # over Q only
+N_LAST = 9  # steps drawn at least up to n = 9, so the Sylvester and Q Euclid pairs stay those of earlier runs
+SYLVESTER_NS = {"fp": (6, 7, 8, 9), "q": (4, 5, 6)}
+LONG_NS = {"fp": tuple(range(8, 14)), "q": (6, 7, 8, 9)}  # the euclid and generate routes
+ROUTES = ("sylvester", "euclid", "generate")
 REPEATS = 3
 
 
@@ -66,41 +76,55 @@ def _git(*args: str) -> str | None:
     return out.stdout.strip()
 
 
-def measure(route, prime: int | None, ns: tuple[int, ...]) -> list[dict]:
-    inst = instances.Instance(NAME, prime, instances.M2, N_LAST)
-    seq = generate(spec_from_json(instances.instance_doc(inst, SEED)), max(ns))
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def measure(route: str, prime: int | None, ns: tuple[int, ...]) -> list[dict]:
+    inst = instances.Instance(NAME, prime, instances.M2, max(N_LAST, *ns))
+    spec = spec_from_json(instances.instance_doc(inst, SEED))
+    seq = generate(spec, max(ns))
+    call = {
+        "sylvester": lambda n: resultant_sylvester(seq[n], seq[n - 1]).value,
+        "euclid": lambda n: resultant_euclid(seq[n], seq[n - 1]).value,
+        "generate": lambda n: generate(spec, n)[n],
+    }[route]
     rows = []
     for n in ns:
-        f, g = seq[n], seq[n - 1]
         runs, value = [], None
         for _ in range(REPEATS):
             start = time.perf_counter()
-            value = route(f, g).value
+            value = call(n)
             runs.append(time.perf_counter() - start)
-        row = {"n": n, "dimension": f.degree() + g.degree(), "seconds": statistics.median(runs), "runs": runs}
-        if route is resultant_sylvester:
-            row["value"] = value if isinstance(value, int) else str(value)
+        row = {"n": n}
+        if route == "generate":
+            row["degree"] = value.degree()
         else:
-            # Euclid values reach 10^5 digits: keep their size and a digest
+            row["dimension"] = seq[n].degree() + seq[n - 1].degree()
+        row.update(seconds=statistics.median(runs), runs=runs)
+        if route == "sylvester":
+            row["value"] = value if isinstance(value, int) else str(value)
+        elif route == "euclid":
+            # Euclid values reach 10^5 digits over Q: keep their size and a digest
             num, den = value.numerator, value.denominator
             row["value_bits"] = num.bit_length() + den.bit_length()
-            row["value_sha256"] = hashlib.sha256(f"{num:x}/{den:x}".encode()).hexdigest()
+            row["value_sha256"] = _digest(f"{num:x}/{den:x}")
+        else:
+            row["value_sha256"] = _digest(",".join(value.to_text()))
         rows.append(row)
-        print(f"n={n} dim={rows[-1]['dimension']} median {rows[-1]['seconds']:.3f} s", file=sys.stderr)
+        size = f"deg {row['degree']}" if route == "generate" else f"dim={row['dimension']}"
+        print(f"n={n} {size} median {row['seconds']:.3f} s", file=sys.stderr)
     return rows
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--field", choices=FIELDS, default="fp")
+    parser.add_argument("--field", choices=SYLVESTER_NS, default="fp")
     parser.add_argument("--route", choices=ROUTES, default="sylvester")
-    parser.add_argument("--out", type=Path, help="default BENCH_det_<field>.json or BENCH_euclid_<field>.json")
+    parser.add_argument("--out", type=Path, help="default BENCH_det_<field>.json or BENCH_<route>_<field>.json")
     args = parser.parse_args()
-    prime, ns = FIELDS[args.field]
-    if args.route == "euclid":
-        if args.field != "q":
-            parser.error("--route euclid is timed over --field q only")
-        ns = EUCLID_NS
+    ns = (SYLVESTER_NS if args.route == "sylvester" else LONG_NS)[args.field]
+    prime = instances.PRIME if args.field == "fp" else None
     stem = "det" if args.route == "sylvester" else args.route
     out = args.out or ROOT / f"BENCH_{stem}_{args.field}.json"
     status = _git("status", "--porcelain", "--", "src")
@@ -112,7 +136,7 @@ def main() -> int:
         "prime": prime,
         "seed": SEED,
         "route": args.route,
-        "rows": measure(ROUTES[args.route], prime, ns),
+        "rows": measure(args.route, prime, ns),
     }
     doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {"runs": []}
     doc["runs"].append(run)

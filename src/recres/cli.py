@@ -32,6 +32,8 @@ tool version) runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import sys
 import time
@@ -63,8 +65,8 @@ class InstanceFormatError(ValueError):
 
 
 class _CommandFailed(Exception):
-    """A command stops before its result: `main` prints the message to
-    stderr and returns `code`."""
+    """A command fails: `main` prints the message to stderr and returns
+    `code`."""
 
     def __init__(self, code: int, message: str):
         super().__init__(message)
@@ -280,19 +282,16 @@ def verify_records(spec: RecurrenceSpec, n_max: int) -> tuple[list[dict], bool]:
     return records, all(map(_record_ok, records))
 
 
-def _report_header(command: str, desc: FieldDescriptor) -> dict:
-    """The keys that open every report."""
+def _report(command: str, desc: FieldDescriptor, **fields) -> dict:
+    """A report: the keys that open every report, then `fields`."""
     return {
         "schema": SCHEMA_VERSION,
         "tool": "recres",
         "tool_version": __version__,
         "command": command,
         "field": field_to_json(desc),
+        **fields,
     }
-
-
-def _base_report(command: str, spec: RecurrenceSpec, instance: str) -> dict:
-    return {**_report_header(command, spec.descriptor), "instance": instance, "seed": None}
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +330,11 @@ def cmd_sequence(args) -> int:
     for n, poly in enumerate(seq):
         print(f"r_{n} = {poly}, deg {poly.degree()}")
     if args.json:
-        doc = _base_report("sequence", spec, args.instance)
-        doc["n_range"] = [0, n_max]
-        doc["polynomials"] = [p.to_text() for p in seq]
-        doc["degrees"] = [p.degree() if not p.is_zero() else None for p in seq]
-        doc["validation"] = validation_to_json(report)
+        doc = _report(
+            "sequence", spec.descriptor, instance=args.instance, seed=None, n_range=[0, n_max],
+            polynomials=[p.to_text() for p in seq], degrees=[p.degree() if not p.is_zero() else None for p in seq],
+            validation=validation_to_json(report),
+        )
         _write_json(Path(args.json), doc)
     return 0
 
@@ -358,18 +357,15 @@ def cmd_resultant(args) -> int:
     for method, text in texts.items():
         print(f"{method}: {text}")
     match = len(set(values.values())) == 1
-    doc = _base_report("resultant", spec, args.instance)
-    doc["n"] = n
-    doc["method"] = args.method
-    doc["values"] = texts
-    doc["match"] = match
-    doc["validation"] = validation_to_json(report)
-    doc["elapsed_seconds"] = round(elapsed, 6)
     if args.json:
+        doc = _report(
+            "resultant", spec.descriptor, instance=args.instance, seed=None,
+            n=n, method=args.method, values=texts, match=match,
+            validation=validation_to_json(report), elapsed_seconds=round(elapsed, 6),
+        )
         _write_json(Path(args.json), doc)
     if not match:
-        print(f"MISMATCH at n={n}: " + ", ".join(f"{m}={v}" for m, v in texts.items()), file=sys.stderr)
-        return 4
+        raise _CommandFailed(4, f"MISMATCH at n={n}: " + ", ".join(f"{m}={v}" for m, v in texts.items()))
     return 0
 
 
@@ -385,18 +381,16 @@ def cmd_verify(args) -> int:
             f"n={record['n']}: deg {record['degree']} formula {record['formula']} "
             f"sylvester {record['sylvester']} euclid {record['euclid']} [{status}]"
         )
-    doc = _base_report("verify", spec, args.instance)
-    doc["n_range"] = [spec.d + 1, n_max]
-    doc["records"] = records
-    doc["all_match"] = all_ok
-    doc["validation"] = validation_to_json(report)
-    doc["elapsed_seconds"] = round(elapsed, 6)
     if args.json:
+        doc = _report(
+            "verify", spec.descriptor, instance=args.instance, seed=None,
+            n_range=[spec.d + 1, n_max], records=records, all_match=all_ok,
+            validation=validation_to_json(report), elapsed_seconds=round(elapsed, 6),
+        )
         _write_json(Path(args.json), doc)
     if not all_ok:
         first_bad = next(r["n"] for r in records if not _record_ok(r))
-        print(f"MISMATCH first at n={first_bad}", file=sys.stderr)
-        return 4
+        raise _CommandFailed(4, f"MISMATCH first at n={first_bad}")
     print(f"all {len(records)} checks agree ({elapsed:.3f}s)")
     return 0
 
@@ -411,8 +405,9 @@ class Lcg:
 
     state' = (6364136223846793005 * state + 1442695040888963407) mod 2^64,
     seeded with the given integer reduced mod 2^64.  `below(n)` advances
-    the state once and returns (state' >> 33) mod n.  Everything is
-    specified exactly so streams can be reproduced by any implementation.
+    the state once and returns (state' >> 33) mod n, which reaches every
+    residue only for n <= 2^31.  Everything is specified exactly so
+    streams can be reproduced by any implementation.
     """
 
     MULT = 6364136223846793005
@@ -454,17 +449,7 @@ def _draw_t_poly(rng: Lcg, desc: FieldDescriptor, k: int, bound: int) -> Poly:
 
 def _alphas_below(d: int, m: int) -> list[tuple[int, ...]]:
     """All alpha in N^{d+1} with |alpha| < m, lexicographic."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], budget: int) -> None:
-        if len(prefix) == d + 1:
-            out.append(prefix)
-            return
-        for value in range(budget + 1):
-            rec(prefix + (value,), budget - value)
-
-    rec((), m - 1)
-    return sorted(out)
+    return [a for a in itertools.product(range(m), repeat=d + 1) if sum(a) < m]
 
 
 def _draw_instance(rng: Lcg, desc: FieldDescriptor, bounds: dict, index: int) -> tuple[RecurrenceSpec, int]:
@@ -541,13 +526,15 @@ def _parse_n_max(text: str):
     return _decimal(text)
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer no smaller than low."""
+def _int_in(low: int, high: int | None):
+    """An argparse type: an integer in [low, high], or >= low if high is None."""
 
     def parse(text: str) -> int:
         value = _decimal(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
@@ -565,8 +552,7 @@ def _parse_field(text: str) -> FieldDescriptor:
 
 def cmd_fuzz(args) -> int:
     if isinstance(args.n_max, int) and args.n_max < args.d_max + 1:
-        print(f"error: --n-max must be >= d-max+1 = {args.d_max + 1}", file=sys.stderr)
-        return 2
+        raise _CommandFailed(2, f"error: --n-max must be >= d-max+1 = {args.d_max + 1}")
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -576,18 +562,9 @@ def cmd_fuzz(args) -> int:
     if stale is not None:  # its files would sit beside a report that does not list them
         raise _CommandFailed(2, f"error: cannot write {stale}: --out must be a new or empty directory")
     desc = args.field
-    bounds = {
-        "d_max": args.d_max,
-        "m_max": args.m_max,
-        "k_max": args.k_max,
-        "i_max": args.i_max,
-        "coeff_bound": args.coeff_bound,
-        "n_max": args.n_max,
-    }
+    bounds = {key: getattr(args, key) for key in ("d_max", "m_max", "k_max", "i_max", "coeff_bound", "n_max")}
     rng = Lcg(args.seed)
     instances = []
-    edge_count = 0
-    mismatch_path = None
     total_draws = 0
     for index in range(args.count):
         spec = None
@@ -598,17 +575,14 @@ def cmd_fuzz(args) -> int:
                 spec = candidate
                 break
         if spec is None:
-            print(f"error: no valid instance after {MAX_RESAMPLE} draws (index {index})", file=sys.stderr)
-            return 5
+            raise _CommandFailed(5, f"error: no valid instance after {MAX_RESAMPLE} draws (index {index})")
         file_name = f"instance_{index:03d}.json"
         _write_json(out_dir / file_name, spec_to_json(spec, seed=args.seed))
         try:
             records, all_ok = verify_records(spec, n_max)
         except DegreeMismatchError as exc:
-            print(f"MISMATCH: {exc} (see {out_dir / file_name})", file=sys.stderr)
-            return 4
+            raise _CommandFailed(4, f"MISMATCH: {exc} (see {out_dir / file_name})") from None
         edge = edge_branch(spec)
-        edge_count += edge
         instances.append(
             {
                 "index": index,
@@ -629,26 +603,20 @@ def cmd_fuzz(args) -> int:
             f"instance {index:03d}: d={spec.d} m={spec.m} k={spec.k} l={spec.l} "
             f"degrees={list(spec.degrees)} edge={edge} n<={n_max} [{status}]"
         )
-        if not all_ok and mismatch_path is None:
-            mismatch_path = out_dir / file_name
-    report = {
-        **_report_header("fuzz", desc),
-        "seed": args.seed,
-        "count": args.count,
-        "bounds": bounds,
-        "branch_coverage": {"edge": edge_count, "normal": len(instances) - edge_count},
-        "total_draws": total_draws,
-        "instances": instances,
-        "all_match": all(inst["all_match"] for inst in instances),
-    }
+    edge_count = sum(inst["edge_branch"] for inst in instances)
+    mismatch = next((inst["path"] for inst in instances if not inst["all_match"]), None)
+    report = _report(
+        "fuzz", desc, seed=args.seed, count=args.count, bounds=bounds,
+        branch_coverage={"edge": edge_count, "normal": len(instances) - edge_count},
+        total_draws=total_draws, instances=instances, all_match=mismatch is None,
+    )
     _write_json(out_dir / "report.json", report)
     print(
         f"{sum(inst['all_match'] for inst in instances)}/{len(instances)} instances verified, "
         f"branch coverage: edge={edge_count} normal={len(instances) - edge_count}"
     )
-    if mismatch_path is not None:
-        print(f"MISMATCH: see {mismatch_path}", file=sys.stderr)
-        return 4
+    if mismatch is not None:
+        raise _CommandFailed(4, f"MISMATCH: see {out_dir / mismatch}")
     return 0
 
 
@@ -657,6 +625,7 @@ def cmd_fuzz(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="recres",
@@ -672,24 +641,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     seq = sub.add_parser("sequence", parents=[on_instance], help="generate and print r_0..r_N")
     seq.add_argument("--n", type=_decimal, required=True)
-    seq.set_defaults(func=cmd_sequence)
 
     res = sub.add_parser("resultant", parents=[on_instance], help="Res(r_n, r_{n-1}) by one or all methods")
     res.add_argument("--n", type=_decimal, required=True)
     res.add_argument("--method", choices=("formula", "sylvester", "euclid", "all"), default="all")
-    res.set_defaults(func=cmd_resultant)
 
     ver = sub.add_parser("verify", parents=[on_instance], help="check the closed-form identity for d+1 <= n <= N")
     ver.add_argument("--n-max", type=_decimal, required=True)
-    ver.set_defaults(func=cmd_verify)
 
     fuzz = sub.add_parser("fuzz", help="verify randomized instances; dump them for replay")
     fuzz.add_argument("--seed", type=_decimal, required=True)
-    fuzz.add_argument("--count", type=_int_at_least(0), required=True)
-    fuzz.add_argument("--d-max", type=_int_at_least(1), default=2)
-    fuzz.add_argument("--m-max", type=_int_at_least(1), default=2)
-    fuzz.add_argument("--k-max", type=_int_at_least(0), default=3)
-    fuzz.add_argument("--i-max", type=_int_at_least(0), default=3)
+    fuzz.add_argument("--count", type=_int_in(0, None), required=True)
+    # each bound's draw range holds at most 2^31 values, all that Lcg.below reaches
+    fuzz.add_argument("--d-max", type=_int_in(1, 2**31), default=2)
+    fuzz.add_argument("--m-max", type=_int_in(1, 2**31), default=2)
+    fuzz.add_argument("--k-max", type=_int_in(0, 2**31 - 1), default=3)
+    fuzz.add_argument("--i-max", type=_int_in(0, 2**31 - 1), default=3)
     fuzz.add_argument(
         "--n-max",
         type=_parse_n_max,
@@ -697,9 +664,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="absolute index >= d-max+1 or 'd+K' with K >= 1; default d+3 for m >= 2, d+6 for m = 1",
     )
     fuzz.add_argument("--field", type=_parse_field, default=prime_field(10007), help="'rational' or a prime (default 10007)")
-    fuzz.add_argument("--coeff-bound", type=_int_at_least(1), default=5, help="coefficients drawn from [-B, B], B >= 1 (default 5)")
+    fuzz.add_argument("--coeff-bound", type=_int_in(1, 2**30 - 1), default=5, help="coefficients drawn from [-B, B], 1 <= B < 2^30 (default 5)")
     fuzz.add_argument("--out", required=True, metavar="DIR", help="a new or empty directory")
-    fuzz.set_defaults(func=cmd_fuzz)
     return parser
 
 
@@ -709,8 +675,10 @@ def main(argv: list[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
+    # looked up at each call, so a rebound command (a traced run) is the one called
+    command = {"sequence": cmd_sequence, "resultant": cmd_resultant, "verify": cmd_verify, "fuzz": cmd_fuzz}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except _CommandFailed as exc:
         print(exc, file=sys.stderr)
         return exc.code

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from recres import Poly, Scalar, prime_field, rationals
+from recres import Poly, Scalar, __version__, prime_field, rationals
 from recres.cli import (
     InstanceFormatError,
     Lcg,
@@ -434,6 +434,24 @@ def test_fuzz_rejects_out_of_range_bounds(tmp_path, capsys, flags):
         assert exc.value.code == 2
 
 
+FUZZ_CEILINGS = {"--d-max": 2**31, "--m-max": 2**31, "--k-max": 2**31 - 1, "--i-max": 2**31 - 1, "--coeff-bound": 2**30 - 1}
+
+
+@pytest.mark.parametrize("flag", sorted(FUZZ_CEILINGS))
+def test_fuzz_bound_ceilings(tmp_path, capsys, flag):
+    # one LCG draw reaches 2^31 values, so no draw range may hold more
+    ceiling = FUZZ_CEILINGS[flag]
+    out = tmp_path / "at"
+    assert main(["fuzz", "--seed", "1", "--count", "0", "--out", str(out), flag, str(ceiling)]) == 0
+    assert json.loads((out / "report.json").read_text())["bounds"][flag[2:].replace("-", "_")] == ceiling
+    over = tmp_path / "over"
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", "--seed", "1", "--count", "0", "--out", str(over), flag, str(ceiling + 1)])
+    assert exc.value.code == 2
+    assert f"error: argument {flag}: must be <= {ceiling}, got {ceiling + 1}" in capsys.readouterr().err
+    assert not over.exists()
+
+
 def test_fuzz_rejects_composite_field(capsys):
     with pytest.raises(SystemExit):
         main(["fuzz", "--seed", "1", "--count", "1", "--field", "10", "--out", "/tmp/x"])
@@ -515,6 +533,26 @@ def test_json_to_a_directory_exits_2(tmp_path, capsys, command):
     assert list(tmp_path.iterdir()) == []
 
 
+REPORT_KEYS = {
+    "sequence": {"n_range", "polynomials", "degrees", "validation"},
+    "resultant": {"n", "method", "values", "match", "validation", "elapsed_seconds"},
+    "verify": {"n_range", "records", "all_match", "validation", "elapsed_seconds"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(ON_INSTANCE))
+def test_json_report_keys_and_header(tmp_path, capsys, command):
+    out = tmp_path / "r.json"
+    assert main([command, str(SCHUR_FILE), *ON_INSTANCE[command], "--json", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    header = {
+        "schema": 1, "tool": "recres", "tool_version": __version__, "command": command,
+        "field": "rational", "instance": str(SCHUR_FILE), "seed": None,
+    }
+    assert set(doc) == set(header) | REPORT_KEYS[command]
+    assert {key: doc[key] for key in header} == header
+
+
 # -- PRNG ---------------------------------------------------------------------
 
 
@@ -536,6 +574,16 @@ def test_lcg_int_in_bounds():
     assert any(v < 0 for v in values) and any(v > 0 for v in values)
     # over F_2 the draws +-2 vanish too and are redrawn
     assert all(not _draw_nonzero(rng, prime_field(2), 2).is_zero() for _ in range(50))
+
+
+def test_lcg_int_in_takes_both_signs_at_the_coeff_bound_ceiling():
+    # a range past 2^31 values would stop short of its top: [-10^10, 10^10]
+    # draws only from [-10^10, -10^10 + 2^31)
+    bound = 2**30 - 1
+    rng = Lcg(1)
+    values = [rng.int_in(-bound, bound) for _ in range(1000)]
+    assert all(-bound <= v <= bound for v in values)
+    assert any(v < 0 for v in values) and any(v > 0 for v in values)
 
 
 # -- module entry point -----------------------------------------------------------

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import itertools
 import json
 import sys
@@ -215,8 +216,13 @@ def load_instance(path: str) -> RecurrenceSpec:
 
 
 def _write_json(path: Path, doc) -> None:
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # json.dumps(indent=2) runs the pure-Python encoder, whose nested closures
+    # form a reference cycle per call: collect it now, not whenever the
+    # collector next runs, so that a long run's peak RSS does not creep
+    gc.collect(1)
     try:
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
     except OSError as exc:
         raise _CommandFailed(2, f"error: cannot write {path}: {exc.strerror or exc}") from None
 

@@ -49,6 +49,26 @@ class InvalidModulus(ValueError):
 _INTEGER_TEXT = re.compile(r"[+-]?[0-9]+")
 _RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
+
+def _parse_error(descriptor: "FieldDescriptor", text: str) -> ValueError:
+    return ValueError(f"cannot parse {text!r} as an element of {descriptor}")
+
+
+def _parse_integer(descriptor: "FieldDescriptor", text: str) -> int:
+    """The integer a prime-field text encodes, not yet reduced mod p.
+
+    Surrounding whitespace is ignored; anything but an optional sign and
+    ASCII decimal digits raises the ValueError `Scalar.parse` raises.
+    """
+    text = text.strip()
+    if _INTEGER_TEXT.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError as exc:  # more digits than int() converts
+            raise _parse_error(descriptor, text) from exc
+    raise _parse_error(descriptor, text)
+
+
 # Fixed Miller-Rabin bases: deterministic for all n < 3.3 * 10^24,
 # which comfortably covers 64-bit moduli.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -204,17 +224,15 @@ class Scalar:
     @staticmethod
     def parse(descriptor: FieldDescriptor, text: str) -> "Scalar":
         """Parse the text encoding; integers outside [0, p) are reduced."""
+        if descriptor.is_prime_field:
+            return Scalar(descriptor, _parse_integer(descriptor, text))
         text = text.strip()
         try:
-            if descriptor.is_prime_field:
-                if not _INTEGER_TEXT.fullmatch(text):
-                    raise ValueError("not a decimal integer")
-                return Scalar(descriptor, int(text))
             if not _RATIONAL_TEXT.fullmatch(text):
                 raise ValueError("not of the form a or a/b")
             return Scalar(descriptor, Fraction(text))
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"cannot parse {text!r} as an element of {descriptor}") from exc
+            raise _parse_error(descriptor, text) from exc
 
     def __str__(self) -> str:
         return self.to_text()

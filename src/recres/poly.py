@@ -20,7 +20,9 @@ than `_KS_CUTOFF` coefficient pairs goes by Kronecker substitution
 a coefficient per fixed-width slot, the two ints are multiplied by CPython's
 Karatsuba, and the product's slots are the product's coefficients.  The
 slot width, and the proof that no slot carries, live in `_slot_bytes`; the
-packed Sylvester elimination of `resultant` uses the same helper.  An F_p
+packed Sylvester elimination and Euclid steps of `resultant` use the same
+helper, and reduce packed ints slot by slot with no Python operation per
+slot through the one Barrett step of `_barrett_quotients`.  An F_p
 division whose row loop would make more than `_NEWTON_CUTOFF` slot updates
 by a divisor of degree at least `_NEWTON_MIN_DIVISOR` multiplies by a Newton
 reciprocal of the reversed divisor instead (von zur Gathen and Gerhard,
@@ -48,6 +50,7 @@ from .field import (
     DivisionByZero,
     FieldDescriptor,
     Scalar,
+    _parse_integer,
 )
 
 __all__ = ["Poly", "NEG_INFINITY"]
@@ -138,6 +141,65 @@ def _unpack(x: int, nbytes: int, count: int) -> list[int]:
             wide[i::8] = data[i::nbytes]
         data = wide
     return list(struct.unpack(f"<{count}Q", data))
+
+
+def _slot_masks(nbytes: int, count: int) -> tuple[int, int]:
+    """(even, ones) for count slots nbytes wide, as `_barrett_quotients`
+    and its callers take them: even has all bits set in the slots 0, 2, 4,
+    ... and reaches at least count slots; ones holds 1 in each of them."""
+    even = int.from_bytes((b"\xff" * nbytes + bytes(nbytes)) * (count // 2 + 1), "little")
+    return even, int.from_bytes((b"\x01" + bytes(nbytes - 1)) * count, "little")
+
+
+def _barrett_quotients(y: int, p: int, w: int, even: int) -> int:
+    """Slot by slot, floor(x / p) or one less for each w-bit slot x of y,
+    with no Python operation per slot (Barrett, CRYPTO '86).
+
+    Every slot x of y is below 2^w, and 2p < 2^w.  even has all w bits set
+    in the slots at even places counted from the least significant (0, 2,
+    4, ...) and reaches at least as far as y.  With mu = floor(2^w / p), the
+    Barrett quotient of x is q = floor(x mu / 2^w), and then
+
+        x / p - 1 < x / p - x / 2^w <= x mu / 2^w <= x / p,
+
+    because mu > 2^w / p - 1 and x < 2^w.  So q is floor(x / p) or one
+    less, and x - q p lies in [0, 2p).  The even slots and the odd slots
+    (shifted down by w) are taken apart: each slot then has w zero bits
+    above it, so x mu < 2^(2w) fits below the next slot of its half, the
+    shift by w leaves q in the slot and drops the low half of x mu into the
+    gap below, and masking with even clears that gap.  Each q is below 2^w,
+    and y - Q p, with Q the result, holds x - q p in each slot, so that
+    difference needs no borrow between slots.
+    """
+    mu = (1 << w) // p
+    q_even = ((y & even) * mu >> w) & even
+    q_odd = (((y >> w) & even) * mu >> w) & even
+    return q_even + (q_odd << w)
+
+
+def _negate_mod_p(y: int, p: int, w: int, even: int, ones: int) -> int:
+    """The w-bit slots of y negated mod p, each into (0, 2p].
+
+    y, p, w and even are as in `_barrett_quotients`; ones holds 1 in every
+    slot of y and in no other.  The result is (2 ones + Q) p - y: slot by
+    slot it is 2p - (x - q p), in (0, 2p] and so below 2^w, so the exact
+    sum needs no carry or borrow between slots.
+    """
+    return (2 * ones + _barrett_quotients(y, p, w, even)) * p - y
+
+
+def _reduce_mod_p(y: int, p: int, w: int, even: int, ones: int) -> int:
+    """The w-bit slots of y reduced into [0, p).
+
+    y, p, w and even are as in `_barrett_quotients`; ones holds 1 in every
+    slot of y, and may reach farther.  t = y - Q p holds x - q p in [0, 2p)
+    in each slot.  Adding 2^(w - 1) - p to a slot t gives a value in
+    [2^(w - 1) - p, 2^(w - 1) + p), within [0, 2^w) as 2p < 2^w, so no
+    slot carries, and its bit w - 1 is set exactly when t >= p.  Those bits,
+    moved to the bottom of their slots, say where p is subtracted once.
+    """
+    t = y - _barrett_quotients(y, p, w, even) * p
+    return t - ((t + ones * ((1 << (w - 1)) - p) >> (w - 1)) & ones) * p
 
 
 def _ks_mul(a: Sequence[int], b: Sequence[int], p: int, count: int = 0) -> list[int]:
@@ -435,6 +497,10 @@ class Poly:
 
     @classmethod
     def from_text(cls, descriptor: FieldDescriptor, coeffs: Sequence[str]) -> "Poly":
+        """The polynomial of `Scalar.parse` texts, ascending degree; over F_p
+        the texts go straight to ints."""
+        if descriptor.is_prime_field:
+            return cls._make(descriptor, [_parse_integer(descriptor, t) for t in coeffs])
         return cls(descriptor, [Scalar.parse(descriptor, t) for t in coeffs])
 
     # -- dunder glue -------------------------------------------------------

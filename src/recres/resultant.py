@@ -20,13 +20,14 @@ as in Schonhage 1982 and Harvey, JSC 2009).  The slots are those of
 `poly._slot_bytes` for an N x N matrix, whose docstring proves that no slot
 carries.  A Sylvester row is then a packed coefficient vector shifted by
 whole slots, so f and g are packed once each.  Once per column the pivot
-row is reduced and negated without unpacking it: a Barrett quotient
-(Barrett, CRYPTO '86) is taken in all of its slots at once, the even and
-the odd slots apart so that each product has spare bits above it, which
-leaves every negated slot in (0, 2p].  Over Q it runs fraction-free Bareiss
-elimination (Bareiss 1968) on the integer rows of the stored numerators,
-and divides once by the denominators they cleared.  The rows are scaled
-lazily: with prev the last pivot, row i stores entries with
+row is reduced and negated without unpacking it (`poly._negate_mod_p`):
+a Barrett quotient (Barrett, CRYPTO '86) is taken in all of its slots at
+once, the even and the odd slots apart so that each product has spare bits
+above it, which leaves every negated slot in (0, 2p].  Over Q it runs
+fraction-free Bareiss elimination (Bareiss 1968) on the integer rows of the
+stored numerators, and divides once by the denominators they cleared.
+The rows are scaled lazily: with prev the last pivot, row i stores entries
+with
 
     true row = stored row * prev / since[i],
 
@@ -46,8 +47,14 @@ vectors instead of growing ever larger denominators.  The step factors
 are multiplied in a balanced pairwise tree: a reduced Fraction product runs
 gcds on both operands, so folding each factor into a growing result redoes
 that work on the result at every step.  The tree only reorders exact
-products, so the value is the same.  The two routes must agree everywhere;
-that agreement is this package's core differential check.
+products, so the value is the same.  Over F_p the sequence stays packed in
+the slots of `poly._slot_bytes`: a step whose quotient has degree 1 reads
+the quotient off the top two slots of f and g, forms the remainder as one
+multiply-add of packed ints and reduces all its slots at once with the
+Barrett step of `poly._reduce_mod_p`; only longer quotients go through
+`Poly.divrem`, and the step factors are multiplied into one residue as they
+come.  The two routes must agree everywhere; that agreement is this
+package's core differential check.
 
 Conventions for degenerate inputs: Res with exactly one zero argument
 is 0, two nonzero constants give 1 (empty matrix), and two zero
@@ -60,7 +67,7 @@ import math
 from fractions import Fraction
 
 from .field import DescriptorMismatch, FieldDescriptor, Scalar
-from .poly import Poly, _pack, _slot_bytes
+from .poly import Poly, _negate_mod_p, _pack, _reduce_mod_p, _slot_bytes, _slot_masks, _unpack
 
 __all__ = [
     "sylvester_matrix",
@@ -100,34 +107,6 @@ def sylvester_matrix(f: Poly, g: Poly) -> list[list]:
     return rows
 
 
-def _negate_mod_p(y: int, p: int, w: int, even: int, ones: int) -> int:
-    """The w-bit slots of y negated mod p, each into (0, 2p], with no
-    Python operation per slot.
-
-    Every slot x of y is below 2^w, and 2p < 2^w.  even has all w bits set
-    in the slots at even places counted from the least significant (0, 2,
-    4, ...) and reaches at least as far as y; ones holds 1 in every slot of
-    y and in no other.  With mu = floor(2^w / p), the Barrett quotient of x
-    is q = floor(x mu / 2^w), and then
-
-        x / p - 1 < x / p - x / 2^w <= x mu / 2^w <= x / p,
-
-    because mu > 2^w / p - 1 and x < 2^w.  So q is floor(x / p) or one
-    less, and x - q p lies in [0, 2p).  The even slots and the odd slots
-    (shifted down by w) are taken apart: each slot then has w zero bits
-    above it, so x mu < 2^(2w) fits below the next slot of its half, the
-    shift by w leaves q in the slot and drops the low half of x mu into the
-    gap below, and masking with even clears that gap.  The result is
-    (2 ones + Q) p - y with Q the quotients in y's slots: slot by slot it is
-    2p - (x - q p), in (0, 2p] and so below 2^w, so the exact sum needs no
-    carry or borrow between slots.
-    """
-    mu = (1 << w) // p
-    q_even = ((y & even) * mu >> w) & even
-    q_odd = (((y >> w) & even) * mu >> w) & even
-    return (2 * ones + q_even + (q_odd << w)) * p - y
-
-
 def _det_prime(packed: list[int], p: int, nbytes: int) -> int:
     """Gaussian elimination over F_p on rows packed by `poly._pack`.
 
@@ -141,8 +120,7 @@ def _det_prime(packed: list[int], p: int, nbytes: int) -> int:
     """
     size = len(packed)
     w = 8 * nbytes
-    even = _pack([(1 << w) - 1, 0] * (size // 2 + 1), nbytes)
-    ones = _pack([1] * size, nbytes)
+    even, ones = _slot_masks(nbytes, size)
     det = 1
     for col in range(size):
         shift = w * (size - 1 - col)  # the live slots right of column col
@@ -282,20 +260,66 @@ def resultant_sylvester(f: Poly, g: Poly) -> Scalar:
     return Scalar(desc, Fraction(_det_bareiss(rows), f._den**m * g._den**n))
 
 
+def _euclid_prime(f: Poly, g: Poly) -> int:
+    """Res(f, g) over F_p as a residue, for nonzero f and g with
+    deg f >= deg g.
+
+    f and g are kept packed by `poly._pack` in slots of `_slot_bytes(p, 2)`,
+    which hold every value below 4 p^2.  While deg f = deg g + 1 the quotient
+    is q1 x + q0, read off the top two slots of f and g, and the remainder
+    f - q g is the packed sum F + (p - q1) (G << w) + (p - q0) G, each of
+    whose slots is below p + 2 p (p - 1) < 4 p^2, reduced into [0, p) by
+    `poly._reduce_mod_p`.  Its top two slots come out zero, and its degree
+    is read from its bit length.  A step with a longer quotient unpacks f
+    and g for `Poly.divrem`.  The step factors are multiplied as they come.
+    """
+    desc = f.descriptor
+    p = desc.modulus
+    nbytes = _slot_bytes(p, 2)
+    w = 8 * nbytes
+    slot = (1 << w) - 1
+    n, m = f.degree(), g.degree()
+    top = n  # ones is cut to the n + 1 slots of each sum: a full-length mask costs its length per step
+    even, ones = _slot_masks(nbytes, n + 1)
+    F, G = _pack(f._c, nbytes), _pack(g._c, nbytes)
+    value, sign = 1, 0
+    while m:
+        lc = G >> w * m
+        if n - m == 1:
+            inv = pow(lc, -1, p)
+            q1 = (F >> w * n) * inv % p
+            q0 = ((F >> w * m & slot) - q1 * (G >> w * (m - 1) & slot)) * inv % p
+            R = _reduce_mod_p(F + (p - q1) * (G << w) + (p - q0) * G, p, w, even, ones >> w * (top - n))
+        else:
+            _, r = Poly._raw(desc, _unpack(F, nbytes, n + 1)).divrem(Poly._raw(desc, _unpack(G, nbytes, m + 1)))
+            R = _pack(r._c, nbytes)
+        if not R:
+            return 0
+        k = (R.bit_length() - 1) // w
+        sign += n * m
+        value = value * pow(lc, n - k, p) % p
+        F, G, n, m = G, R, m, k
+    value = value * pow(G, n, p) % p
+    return -value % p if sign % 2 else value
+
+
 def resultant_euclid(f: Poly, g: Poly) -> Scalar:
     """Res(f, g) by the remainder-sequence recursion, iteratively.
 
-    An explicit loop collecting the step factors rather than recursion,
-    so degree ~10^3 inputs cannot hit the interpreter stack limit.
+    An explicit loop rather than recursion, so degree ~10^3 inputs cannot
+    hit the interpreter stack limit.
     """
     if _zero_argument(f, g):
         return Scalar(f.descriptor, 0)
     desc = f.descriptor
-    factors = []
     sign = 0
     if f.degree() < g.degree():
         sign += f.degree() * g.degree()
         f, g = g, f
+    if desc.is_prime_field:
+        value = _euclid_prime(f, g)
+        return Scalar(desc, -value if sign % 2 else value)
+    factors = []
     while True:
         n, m = f.degree(), g.degree()
         if m == 0:
@@ -305,11 +329,8 @@ def resultant_euclid(f: Poly, g: Poly) -> Scalar:
         if r.is_zero():
             return Scalar(desc, 0)
         sign += n * m
-        factor = g.leading_coeff() ** (n - r.degree())
-        if not desc.is_prime_field:  # over F_p the content is 1
-            c, r = r.primitive()
-            factor = factor * c**m
-        factors.append(factor)
+        c, r = r.primitive()
+        factors.append(g.leading_coeff() ** (n - r.degree()) * c**m)
         f, g = g, r
     while len(factors) > 1:  # a balanced product tree
         pairs = [factors[i] * factors[i + 1] for i in range(0, len(factors) - 1, 2)]

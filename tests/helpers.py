@@ -1,12 +1,27 @@
-"""Shared random builders for the test suite (seeded, stdlib random)."""
+"""Shared builders, oracles and loaders for the test suite (seeded, stdlib random)."""
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from recres import Poly, RecurrenceSpec, Scalar, rationals, validate
 from recres.cli import Lcg, _draw_instance
+
+
+INSTANCES = Path(__file__).resolve().parent.parent / "bench" / "instances.py"
+
+
+def load_instances():
+    """The benchmark's instance module, `bench/instances.py`."""
+    spec = importlib.util.spec_from_file_location("bench_instances", INSTANCES)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def rand_scalar(rng: random.Random, desc, lo=-9, hi=9, nonzero=False) -> Scalar:
@@ -78,3 +93,32 @@ def schur_formula(a: list[Scalar], c: list[Scalar], n: int) -> Scalar:
     for i in range(1, n):
         value = value * a[i - 1] ** (2 * (n - i)) * c[i] ** i
     return -value if (n * (n - 1) // 2) % 2 else value
+
+
+def euclid_by_divrem(f: Poly, g: Poly) -> Scalar:
+    """Res(f, g) over F_p by the remainder sequence with one `Poly.divrem`
+    per step, an oracle independent of the packed steps of
+    `resultant_euclid`:
+
+        Res(f, g) = (-1)^{deg f deg g} lc(g)^{deg f - deg r} Res(g, r),
+        Res(f, c) = c^{deg f},
+
+    with r the remainder of f mod g, for f and g not both zero.
+    """
+    desc = f.descriptor
+    if f.is_zero() or g.is_zero():
+        return Scalar(desc, 0)
+    value, sign = Scalar(desc, 1), 0
+    if f.degree() < g.degree():
+        sign += f.degree() * g.degree()
+        f, g = g, f
+    while g.degree() > 0:
+        n, m = f.degree(), g.degree()
+        _, r = f.divrem(g)
+        if r.is_zero():
+            return Scalar(desc, 0)
+        sign += n * m
+        value = value * g.leading_coeff() ** (n - r.degree())
+        f, g = g, r
+    value = value * g.coeff_at(0) ** f.degree()
+    return -value if sign % 2 else value

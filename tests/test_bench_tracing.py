@@ -8,6 +8,8 @@ from pathlib import Path
 
 import recres.cli  # imported up front: Tracer.install rebinds names in every loaded recres module
 
+from helpers import load_instances
+
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
@@ -89,3 +91,24 @@ def test_q_euclid_runs_through_poly_kernels():
         tracer.uninstall()
     assert summary["poly.divrem"]["calls"] > 0
     assert summary["poly.mul"]["calls"] > 0
+
+
+def test_fp_euclid_on_the_deep_instance_runs_through_divrem(tmp_path):
+    """Over F_p, Euclid packs its linear steps and leaves `Poly.divrem` only
+    the longer quotients: on the `deep` workload's M1_D2 instance the first
+    step of each rung has quotient degree 2, so the traced benchmark's
+    `poly.divrem` gate still sees calls."""
+    instances = load_instances()
+    op = next(op for op in instances.plan("deep", 1)["fp"] if op.instance.shape == instances.M1_D2)
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(instances.instance_doc(op.instance, 1)))
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert recres.cli.main(["resultant", str(path), "--n", str(op.n), "--method", "euclid"]) == 0
+        summary = tracer.summary()
+    finally:
+        tracer.uninstall()
+    assert summary["resultant.resultant_euclid"]["calls"] == 1
+    assert summary["poly.divrem"]["calls"] > 0

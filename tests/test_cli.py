@@ -104,17 +104,6 @@ def test_resultant_n_too_small(capsys):
     assert main(["resultant", str(SCHUR_FILE), "--n", "1"]) == 2
 
 
-@pytest.fixture
-def default_digit_cap():
-    """Restore the interpreter's default 4300-digit int <-> str cap for one test."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("this interpreter has no int <-> str digit cap")
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield
-    sys.set_int_max_str_digits(saved)
-
-
 def linear_q_doc(g, v, n_max):
     """r_n = g r_{n-1} + v r_{n-2} over Q from (1, x)."""
     return {

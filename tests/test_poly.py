@@ -131,6 +131,44 @@ def test_text_encoding():
     assert Poly.from_text(Q, []).is_zero()
 
 
+F10007 = prime_field(10007)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [" 7", "7\n", "\t+3 ", "-1", "+0", "-0", "007", "10006", "10007", "10008", "-20015", str(3 * 10**40 + 5)],
+)
+def test_fp_from_text_matches_scalar_parse(text):
+    # over F_p, from_text parses straight to ints, without a Scalar per entry
+    parsed = Poly.from_text(F10007, ["1", text, text])
+    assert parsed == Poly(F10007, [Scalar(F10007, 1), Scalar.parse(F10007, text), Scalar.parse(F10007, text)])
+    assert Poly.from_text(F10007, [text]) == Poly(F10007, [Scalar.parse(F10007, text)])
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", " ", "spam", "1.0", "1/2", "0x10", "1_000", "\u0663", "1e3", "+-1", "- 1", "1 2"],
+)
+def test_fp_from_text_rejects_junk_as_scalar_parse_does(text):
+    # the same ValueError text, so instance-file errors stay byte-identical
+    with pytest.raises(ValueError) as scalar_error:
+        Scalar.parse(F10007, text)
+    with pytest.raises(ValueError) as poly_error:
+        Poly.from_text(F10007, ["1", text])
+    assert str(poly_error.value) == str(scalar_error.value)
+    assert str(scalar_error.value) == f"cannot parse {text.strip()!r} as an element of F_10007"
+
+
+def test_fp_from_text_past_the_digit_cap_fails_as_scalar_parse_does(default_digit_cap):
+    # the text has the form of an integer, but int() refuses its 5000 digits
+    text = "9" * 5000
+    with pytest.raises(ValueError) as scalar_error:
+        Scalar.parse(F10007, text)
+    with pytest.raises(ValueError) as poly_error:
+        Poly.from_text(F10007, [text])
+    assert str(poly_error.value) == str(scalar_error.value) == f"cannot parse {text!r} as an element of F_10007"
+
+
 def test_str_rendering():
     assert str(P(0, -2, 0, 1)) == "x^3 - 2x"
     assert str(P(-1, 0, 1)) == "x^2 - 1"

@@ -1,10 +1,7 @@
 import functools
-import importlib.util
 import math
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,8 +23,8 @@ from recres import (
 )
 from recres.cli import spec_from_json
 from recres.field import is_prime
-from recres.resultant import _negate_mod_p
-from helpers import rand_fraction_poly, rand_nonzero_poly, rand_poly, rand_scalar
+from recres.poly import _negate_mod_p, _reduce_mod_p
+from helpers import euclid_by_divrem, load_instances, rand_fraction_poly, rand_nonzero_poly, rand_poly, rand_scalar
 
 Q = rationals()
 FP = prime_field(10007)
@@ -209,10 +206,7 @@ def test_prime_determinant_against_bareiss_oracle(p):
         assert rows == before, label
 
 
-@pytest.mark.parametrize("p", [2, 3, 10007, 2**61 - 1, 2**89 - 1])
-@settings(derandomize=True, max_examples=50)
-@given(data=st.data())
-def test_negate_mod_p_lands_every_slot_in_zero_to_2p(p, data):
+def draw_slots(p, data):
     # any slot width with 2p < 2^w and slots anywhere in [0, 2^w), exact
     # multiples of p among them: for odd p their Barrett quotient comes out
     # one short
@@ -221,6 +215,14 @@ def test_negate_mod_p_lands_every_slot_in_zero_to_2p(p, data):
     slots = data.draw(st.lists(slot, min_size=1, max_size=70))
     y = sum(x << (w * k) for k, x in enumerate(slots))
     even = sum(((1 << w) - 1) << (w * k) for k in range(0, len(slots), 2))
+    return w, slots, y, even
+
+
+@pytest.mark.parametrize("p", [2, 3, 10007, 2**61 - 1, 2**89 - 1])
+@settings(derandomize=True, max_examples=50)
+@given(data=st.data())
+def test_negate_mod_p_lands_every_slot_in_zero_to_2p(p, data):
+    w, slots, y, even = draw_slots(p, data)
     ones = sum(1 << (w * k) for k in range(len(slots)))
     out = _negate_mod_p(y, p, w, even, ones)
     assert out >> (w * len(slots)) == 0
@@ -229,15 +231,17 @@ def test_negate_mod_p_lands_every_slot_in_zero_to_2p(p, data):
         assert 0 < neg <= 2 * p and (neg + x) % p == 0, (k, x, neg)
 
 
-INSTANCES = Path(__file__).resolve().parent.parent / "bench" / "instances.py"
-
-
-def load_instances():
-    spec = importlib.util.spec_from_file_location("bench_instances", INSTANCES)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module
+@pytest.mark.parametrize("p", [2, 3, 10007, 2**61 - 1, 2**89 - 1])
+@settings(derandomize=True, max_examples=50)
+@given(data=st.data())
+def test_reduce_mod_p_lands_every_slot_in_zero_to_p(p, data):
+    # ones may reach past the top slot of y, as in the packed Euclid steps
+    w, slots, y, even = draw_slots(p, data)
+    ones = sum(1 << (w * k) for k in range(len(slots) + data.draw(st.integers(0, 3))))
+    out = _reduce_mod_p(y, p, w, even, ones)
+    assert out >> (w * len(slots)) == 0
+    for k, x in enumerate(slots):
+        assert (out >> (w * k)) & ((1 << w) - 1) == x % p, (k, x)
 
 
 @pytest.mark.parametrize("p", [10007, 1000003])
@@ -478,6 +482,33 @@ def test_euclid_product_tree_over_q():
                 assert b.degree() == a.degree() - 1
             assert resultant_euclid(f, g) == resultant_sylvester(f, g), n
             assert resultant_euclid(g, f) == resultant_sylvester(g, f), n
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 10007, 1000003, 2**61 - 1])
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_packed_euclid_against_divrem_oracle(p, data):
+    # resultant_euclid packs the steps whose quotient has degree 1; the
+    # oracle divides by Poly.divrem at every step.  Over F_(2^61 - 1) the
+    # slots are wider than 8 bytes.
+    desc = prime_field(p)
+
+    def poly(degree):
+        coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=degree, max_size=degree))
+        return Poly(desc, coeffs + [data.draw(st.integers(1, p - 1))])
+
+    m = data.draw(st.integers(2, 24))
+    f, g, c = poly(m + 1), poly(m), poly(0)
+    # a linear quotient whose remainder drops by more than one degree
+    dropping = poly(1) * g + poly(data.draw(st.integers(0, m - 2)))
+    assert dropping.divrem(g)[1].degree() < m - 1
+    for a, b in ((f, g), (g, f), (dropping, g), (g, dropping), (f, c), (c, f), (c, c)):
+        assert resultant_euclid(a, b) == euclid_by_divrem(a, b), (a, b)
+    # common factors: a zero remainder in a packed step, or later
+    zero = Scalar(desc, 0)
+    h = poly(data.draw(st.integers(1, 3)))
+    for a, b in ((poly(1) * g, g), (f * h, g * h), (g * h, f * h)):
+        assert resultant_euclid(a, b) == euclid_by_divrem(a, b) == zero, (a, b)
 
 
 @pytest.mark.parametrize("n", [7, 8])

@@ -16,7 +16,7 @@ The euclid route times resultant_euclid(r_n, r_{n-1}) where the Sylvester
 route cannot follow, and the generate route times generate(spec, n), which
 builds r_0..r_n:
 
-    fp   over F_1000003, n = 8..13 (deg r_n up to 8191)
+    fp   over F_1000003, n = 8..15 (deg r_n up to 32767)
     q    over Q, n = 6..9 (deg r_n up to 511)
 
 The step tables are drawn up to n = 9, or up to the largest n timed if that
@@ -63,7 +63,7 @@ SEED = 1
 NAME = "bench-det-fp"  # the draw depends on it; Q keeps it so both fields time the same pairs
 N_LAST = 9  # steps drawn at least up to n = 9, so the Sylvester and Q Euclid pairs stay those of earlier runs
 SYLVESTER_NS = {"fp": (6, 7, 8, 9), "q": (4, 5, 6)}
-LONG_NS = {"fp": tuple(range(8, 14)), "q": (6, 7, 8, 9)}  # the euclid and generate routes
+LONG_NS = {"fp": tuple(range(8, 16)), "q": (6, 7, 8, 9)}  # the euclid and generate routes
 ROUTES = ("sylvester", "euclid", "generate")
 REPEATS = 3
 

@@ -46,7 +46,7 @@ from .recurrence import (
     step,
     validate,
 )
-from .closedform import FormulaContext, degree_formula, order_two_formula
+from .closedform import FormulaContext, degree_formula
 
 __version__ = "0.1.0"
 
@@ -66,5 +66,5 @@ __all__ = [
     "schur_recurrence", "linear_recurrence", "order_two_recurrence",
     "MissingStepError", "WindowSizeError", "DegreeMismatchError",
     # closedform
-    "FormulaContext", "degree_formula", "order_two_formula",
+    "FormulaContext", "degree_formula",
 ]

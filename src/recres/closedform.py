@@ -32,11 +32,10 @@ Unrolling the updates gives the paper's product forms, e.g.
 deg r_n = k (1 + m + ... + m^{n-d-1}) + i_d m^{n-d},
 L_n = lc(r_d)^{m^{n-d}} prod_{s=d+1}^{n} a_{k,s}^{m^{n-s}} off the edge
 branch, and R_n = (-1)^{sum_s m^{n-s} sigma(s)} R_d^{m^{n-d}}
-prod_{s=d+1}^{n} (L_{s-1}^{gamma(s)} v_s^{deg r_{s-1}} C_{s-1}^l)^{m^{n-s}};
-order_two_formula evaluates that unrolled form independently.  The
-classical three-term product (-1)^{n(n-1)/2} prod_{i<n} a_i^{2(n-i)}
-c_{i+1}^i is the case d = m = k = 1, l = 0; the test suite keeps it as
-an oracle.
+prod_{s=d+1}^{n} (L_{s-1}^{gamma(s)} v_s^{deg r_{s-1}} C_{s-1}^l)^{m^{n-s}}.
+The test suite keeps that unrolled form for d = 1 and the classical
+three-term product (-1)^{n(n-1)/2} prod_{i<n} a_i^{2(n-i)} c_{i+1}^i, the
+case d = m = k = 1, l = 0, as oracles.
 
 FormulaContext keeps deg r_s, L_s, C_s and R_s in four lists that share
 the index s; R_d enters once, when the pass first runs.  A query
@@ -47,11 +46,10 @@ from one thread at a time, while distinct contexts are fully independent.
 from __future__ import annotations
 
 from .field import Scalar
-from .poly import Poly
 from .recurrence import RecurrenceSpec, edge_base, edge_branch
 from .resultant import resultant_sylvester
 
-__all__ = ["degree_formula", "FormulaContext", "order_two_formula"]
+__all__ = ["degree_formula", "FormulaContext"]
 
 
 def _geom(m: int, count: int) -> int:
@@ -132,87 +130,3 @@ class FormulaContext:
             raise ValueError(f"resultant_formula needs n >= d+1 = {self.spec.d + 1}")
         self._advance(n)
         return self._res[n]
-
-
-def order_two_formula(initial0: Poly, initial1: Poly, t_tables, n: int) -> Scalar:
-    """Independent closed form in order-two notation.
-
-    Takes the same inputs as recurrence.order_two_recurrence -- initials
-    r_0 (degree i), r_1 (degree j) and per-step tables
-    (t_{0,s}, ..., t_{m,s}) -- and evaluates
-
-        R_n = (-1)^{sum_{s=2}^n m^{n-s} sigma(s)}
-              * prod_{s=2}^n (L_{s-1}^{gamma(s)} v_s^{deg r_{s-1}}
-                               C_{s-1}^l)^{m^{n-s}} * R_1^{m^{n-1}}
-
-    using its own degree/L/C expressions written in (i, j, k, l, m)
-    terms, with a_{k,s} = lc(t_{0,s}), a_{0,s} = t_{0,s}(0) and
-    v_s x^l = t_{m,s}.  This shares nothing with FormulaContext except
-    resultant_sylvester for the base case R_1, so agreement between the
-    two is a meaningful cross-check.
-    """
-    if n < 2:
-        raise ValueError("the formula starts at n = 2")
-    desc = initial0.descriptor
-    i, j = initial0.degree(), initial1.degree()
-    m = len(t_tables[0]) - 1
-    k = t_tables[0][0].degree()
-    l = t_tables[0][m].degree()
-
-    def deg(s: int) -> int:
-        if s == 0:
-            return i
-        if s == 1:
-            return j
-        return k * _geom(m, s - 1) + j * m ** (s - 1)
-
-    def gamma(s: int) -> int:
-        if s == 2:
-            return k - l + m * (j - i)
-        return m ** (s - 2) * (k + j * (m - 1)) + k - l
-
-    def a_lead(s: int) -> Scalar:
-        return t_tables[s - 2][0].coeff_at(k)
-
-    def a_const(s: int) -> Scalar:
-        return t_tables[s - 2][0].coeff_at(0)
-
-    def v_of(s: int) -> Scalar:
-        return t_tables[s - 2][m].coeff_at(l)
-
-    q_j = initial1.leading_coeff()
-    p_i = initial0.leading_coeff()
-    q_0 = initial1.coeff_at(0)
-
-    def leading(s: int) -> Scalar:
-        if s <= 1:
-            return q_j
-        if i == j and k == l:
-            value = (a_lead(2) * q_j**m + v_of(2) * p_i**m) ** (m ** (s - 2))
-            for sigma in range(3, s + 1):
-                value = value * a_lead(sigma) ** (m ** (s - sigma))
-        else:
-            value = q_j ** (m ** (s - 1))
-            for sigma in range(2, s + 1):
-                value = value * a_lead(sigma) ** (m ** (s - sigma))
-        return value
-
-    def constant(s: int) -> Scalar:
-        if l == 0:
-            return Scalar(desc, 1)
-        value = q_0 ** (m ** (s - 1))
-        for sigma in range(2, s + 1):
-            value = value * a_const(sigma) ** (m ** (s - sigma))
-        return value
-
-    base = resultant_sylvester(initial1, initial0)
-    sign_exp = 0
-    value = base ** (m ** (n - 1))
-    for s in range(2, n + 1):
-        weight = m ** (n - s)
-        sign_exp += weight * (deg(s) * deg(s - 1) + l * deg(s - 1))
-        factor = leading(s - 1) ** gamma(s) * v_of(s) ** deg(s - 1) * constant(s - 1) ** l
-        value = value * factor**weight
-    if sign_exp % 2:
-        value = -value
-    return value

@@ -143,7 +143,9 @@ class Scalar:
 
     Construction canonicalizes: ints handed to a rational scalar become
     Fractions, payloads of a prime-field scalar are reduced into [0, p).
-    Re-canonicalizing is therefore the identity.
+    Re-canonicalizing is therefore the identity.  The arithmetic below
+    builds its results through `_of`, which skips that step: an F_p result
+    is reduced by its own `% p` and a Q result is a Fraction already.
     """
 
     descriptor: FieldDescriptor
@@ -159,6 +161,14 @@ class Scalar:
         elif not isinstance(self.value, Fraction):
             object.__setattr__(self, "value", Fraction(self.value))
 
+    @classmethod
+    def _of(cls, descriptor: FieldDescriptor, value: int | Fraction) -> "Scalar":
+        # internal: value is already canonical, an int in [0, p) or a Fraction
+        s = object.__new__(cls)
+        _set_descriptor(s, descriptor)
+        _set_value(s, value)
+        return s
+
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -166,27 +176,34 @@ class Scalar:
 
     # -- arithmetic ----------------------------------------------------
 
+    def _reduced(self, value: int | Fraction) -> "Scalar":
+        # value is canonical up to the reduction mod p: an int or a Fraction
+        p = self.descriptor.modulus
+        return Scalar._of(self.descriptor, value if p is None else value % p)
+
     def _need(self, other: "Scalar") -> None:
-        if other.descriptor != self.descriptor:
+        # one shared descriptor object is the common case; `is` skips the
+        # dataclass comparison
+        if other.descriptor is not self.descriptor and other.descriptor != self.descriptor:
             raise DescriptorMismatch(f"{self.descriptor} vs {other.descriptor}")
 
     def __add__(self, other: "Scalar"):
         if not isinstance(other, Scalar):
             return NotImplemented
         self._need(other)
-        return Scalar(self.descriptor, self.value + other.value)
+        return self._reduced(self.value + other.value)
 
     def __sub__(self, other: "Scalar"):
         if not isinstance(other, Scalar):
             return NotImplemented
         self._need(other)
-        return Scalar(self.descriptor, self.value - other.value)
+        return self._reduced(self.value - other.value)
 
     def __mul__(self, other: "Scalar"):
         if not isinstance(other, Scalar):
             return NotImplemented
         self._need(other)
-        return Scalar(self.descriptor, self.value * other.value)
+        return self._reduced(self.value * other.value)
 
     def __truediv__(self, other: "Scalar"):
         if not isinstance(other, Scalar):
@@ -195,22 +212,20 @@ class Scalar:
         return self * other.inv()
 
     def __neg__(self) -> "Scalar":
-        return Scalar(self.descriptor, -self.value)
+        return self._reduced(-self.value)
 
     def inv(self) -> "Scalar":
         if self.is_zero():
             raise DivisionByZero(f"cannot invert 0 in {self.descriptor}")
-        if self.descriptor.is_prime_field:
-            return Scalar(self.descriptor, pow(self.value, self.descriptor.modulus - 2, self.descriptor.modulus))
-        return Scalar(self.descriptor, 1 / self.value)
+        p = self.descriptor.modulus
+        return Scalar._of(self.descriptor, 1 / self.value if p is None else pow(self.value, p - 2, p))
 
     def __pow__(self, exponent: int) -> "Scalar":
         """Exact power with the 0^0 = 1 convention; negative exponents invert."""
         if exponent < 0:
             return self.inv() ** (-exponent)
-        if self.descriptor.is_prime_field:
-            return Scalar(self.descriptor, pow(self.value, exponent, self.descriptor.modulus))
-        return Scalar(self.descriptor, self.value**exponent)
+        p = self.descriptor.modulus
+        return Scalar._of(self.descriptor, self.value**exponent if p is None else pow(self.value, exponent, p))
 
     # -- text encoding ---------------------------------------------------
 
@@ -239,3 +254,8 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self.descriptor}, {self.to_text()})"
+
+
+# the slot setters of a frozen Scalar, for `Scalar._of`
+_set_descriptor = Scalar.descriptor.__set__
+_set_value = Scalar.value.__set__

@@ -11,8 +11,10 @@ in the manner of FLINT's fmpq_poly, and coefficient s is `_c[s] / _den`.
 * in both fields the last entry is nonzero; the zero polynomial is the
   empty vector.
 
-So sums, negation and scaling are one integer loop for both fields, and
-the kernels build no Fractions; the public accessors hand out Scalars.
+So sums, negation and scaling are integer loops in both fields, and the
+kernels build no Fractions; the public accessors hand out Scalars.  Over
+F_p those three reduce each entry in the loop that forms it and skip
+`_make`; a sum copies the longer operand's tail, already residues.
 
 Over Q a product is the schoolbook `_convolve`.  Over F_p a product of more
 than `_KS_CUTOFF` coefficient pairs goes by Kronecker substitution
@@ -85,6 +87,11 @@ _KS_CUTOFF = 128  # coefficient pairs, len(a) * len(b)
 # (4096, 8).
 _NEWTON_CUTOFF = 2048  # slot updates of the row loop, (k + 1) d
 _NEWTON_MIN_DIVISOR = 32
+# Packing, best of 5 x 3000 calls, per-entry int.to_bytes time / `_pack`'s
+# struct-and-slices time: 2-3 entries 0.24-0.53, 16 entries 0.59-0.88 and 24
+# entries 0.81-1.13 (1- and 2-byte slots lose first), 32 entries 0.93-1.34,
+# 300 entries 2.2-3.5 (F_3, F_10007, F_1000003).
+_PACK_PER_ENTRY = 24  # vectors shorter than this pack one entry at a time
 
 
 def _slot_bytes(p: int, terms: int) -> int:
@@ -114,9 +121,10 @@ def _pack(c: Sequence[int], nbytes: int) -> int:
 
     Slots of up to 8 bytes go through one struct call on little-endian
     8-byte words, narrower ones cut to their low nbytes bytes by strided
-    slices; wider slots take one int.to_bytes call per entry.
+    slices; wider slots, and vectors shorter than `_PACK_PER_ENTRY`, take
+    one int.to_bytes call per entry.
     """
-    if nbytes > 8:
+    if nbytes > 8 or len(c) < _PACK_PER_ENTRY:
         return int.from_bytes(b"".join([v.to_bytes(nbytes, "little") for v in c]), "little")
     data = struct.pack(f"<{len(c)}Q", *c)
     if nbytes < 8:
@@ -321,7 +329,11 @@ class Poly:
         return not self._c
 
     def _scalar(self, v: int) -> Scalar:
-        return Scalar(self.descriptor, v if self._den == 1 else Fraction(v, self._den))
+        """Entry v (or 0) of the stored vector as a Scalar: already a
+        residue over F_p, and v / _den over Q."""
+        if self.descriptor.is_prime_field:
+            return Scalar._of(self.descriptor, v)
+        return Scalar._of(self.descriptor, Fraction(v, self._den) if self._den != 1 else Fraction(v))
 
     def coeff_at(self, s: int) -> Scalar:
         """Coefficient of x^s; zero beyond the stored length."""
@@ -354,12 +366,21 @@ class Poly:
     def _need(self, other: "Poly") -> None:
         if not isinstance(other, Poly):
             raise TypeError(f"expected Poly, got {type(other).__name__}")
-        if other.descriptor != self.descriptor:
+        if other.descriptor is not self.descriptor and other.descriptor != self.descriptor:
             raise DescriptorMismatch(f"{self.descriptor} vs {other.descriptor}")
 
     def __add__(self, other: "Poly") -> "Poly":
         self._need(other)
         a, b, da, db = self._c, other._c, self._den, other._den
+        if self.descriptor.is_prime_field:
+            # one pass over the overlap; the longer operand's tail is
+            # residues already
+            if len(a) < len(b):
+                a, b = b, a
+            p = self.descriptor.modulus
+            c = [(x + y) % p for x, y in zip(a, b)]
+            c += a[len(b) :]
+            return Poly._raw(self.descriptor, _strip(c))
         if da == db:
             return Poly._make(self.descriptor, [x + y for x, y in zip_longest(a, b, fillvalue=0)], da)
         den = math.lcm(da, db)
@@ -370,6 +391,9 @@ class Poly:
         return self + (-other)
 
     def __neg__(self) -> "Poly":
+        if self.descriptor.is_prime_field:
+            p = self.descriptor.modulus
+            return Poly._raw(self.descriptor, [-v % p for v in self._c])
         return Poly._make(self.descriptor, [-v for v in self._c], self._den)
 
     def __mul__(self, other) -> "Poly":
@@ -388,8 +412,12 @@ class Poly:
     __rmul__ = __mul__
 
     def scale(self, s: Scalar) -> "Poly":
-        if s.descriptor != self.descriptor:
+        if s.descriptor is not self.descriptor and s.descriptor != self.descriptor:
             raise DescriptorMismatch(f"{self.descriptor} vs {s.descriptor}")
+        if self.descriptor.is_prime_field:
+            # a unit times a nonzero lead leaves a nonzero lead
+            p, u = self.descriptor.modulus, s.value
+            return Poly._raw(self.descriptor, [v * u % p for v in self._c] if u else ())
         num, den = s.value.numerator, s.value.denominator
         return Poly._make(self.descriptor, [v * num for v in self._c], self._den * den)
 
@@ -478,7 +506,7 @@ class Poly:
             acc = 0
             for v in reversed(self._c):
                 acc = (acc * at.value + v) % p
-            return Scalar(self.descriptor, acc)
+            return Scalar._of(self.descriptor, acc)
         # Horner on the homogenized numerator: with at = num / den, the
         # loop ends with self(at) = acc / (self._den * den^deg) and
         # power = den^(deg + 1)
@@ -487,7 +515,7 @@ class Poly:
         for v in reversed(self._c):
             acc = acc * num + v * power
             power *= den
-        return Scalar(self.descriptor, Fraction(acc * den, self._den * power))
+        return Scalar._of(self.descriptor, Fraction(acc * den, self._den * power))
 
     # -- text encoding ---------------------------------------------------
 

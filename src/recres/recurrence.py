@@ -286,6 +286,10 @@ def step(spec: RecurrenceSpec, window: Sequence[Poly], n: int) -> Poly:
     """Apply one recurrence step.
 
     ``window`` holds (r_{n-1}, r_{n-2}, ..., r_{n-d-1}), newest first.
+    Every t-term carries the factor r_{n-1}, and for m = 1 so does g_n, so
+    their short multipliers t_alpha r^alpha (and g_n) are summed first and
+    multiplied by r_{n-1} once.  For m >= 2, g_n r_{n-1}^m keeps its own
+    product: `Poly.__pow__` squares r_{n-1}, which beats a general product.
     """
     if spec.d < 1:
         raise WindowSizeError("the recurrence references r_{n-2}; d must be >= 1")
@@ -293,7 +297,8 @@ def step(spec: RecurrenceSpec, window: Sequence[Poly], n: int) -> Poly:
         raise WindowSizeError(f"window must hold {spec.d + 1} polynomials, got {len(window)}")
     coeffs = spec.step_coeffs(n)
     newest = window[0]
-    result = coeffs.g * newest**spec.m
+    # the multipliers of r_{n-1}: g_n when m = 1, and every t_alpha r^alpha
+    multiplier = coeffs.g if spec.m == 1 else None
     for term in coeffs.t_terms:
         if term.poly.is_zero():
             continue
@@ -301,9 +306,13 @@ def step(spec: RecurrenceSpec, window: Sequence[Poly], n: int) -> Poly:
         for r, a in zip(window, term.alpha):
             if a:
                 monomial = monomial * r**a
-        result = result + monomial * newest
-    trailing = (window[1] ** spec.m).scale(coeffs.v).shift(spec.l)
-    return result + trailing
+        multiplier = monomial if multiplier is None else multiplier + monomial
+    result = (window[1] ** spec.m).scale(coeffs.v).shift(spec.l)
+    if spec.m > 1:
+        result = coeffs.g * newest**spec.m + result
+    if multiplier is not None:
+        result = multiplier * newest + result
+    return result
 
 
 def generate(spec: RecurrenceSpec, upto: int) -> list[Poly]:

@@ -8,7 +8,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from recres import Poly, RecurrenceSpec, Scalar, rationals, validate
+from recres import Poly, RecurrenceSpec, Scalar, rationals, resultant_sylvester, validate
 from recres.cli import Lcg, _draw_instance
 
 
@@ -122,3 +122,111 @@ def euclid_by_divrem(f: Poly, g: Poly) -> Scalar:
         f, g = g, r
     value = value * g.coeff_at(0) ** f.degree()
     return -value if sign % 2 else value
+
+
+def step_by_terms(spec: RecurrenceSpec, window, n: int) -> Poly:
+    """One recurrence step with one product by r_{n-1} per term, an oracle
+    independent of the summed multiplier of `recres.step`:
+
+        g_n r_{n-1}^m + sum_alpha (t_alpha r^alpha) r_{n-1} + v_n x^l r_{n-2}^m
+
+    with ``window`` = (r_{n-1}, ..., r_{n-d-1}), newest first.
+    """
+    coeffs = spec.step_coeffs(n)
+    newest = window[0]
+    result = coeffs.g * newest**spec.m
+    for term in coeffs.t_terms:
+        if term.poly.is_zero():
+            continue
+        monomial = term.poly
+        for r, a in zip(window, term.alpha):
+            if a:
+                monomial = monomial * r**a
+        result = result + monomial * newest
+    trailing = (window[1] ** spec.m).scale(coeffs.v).shift(spec.l)
+    return result + trailing
+
+
+def order_two_formula(initial0: Poly, initial1: Poly, t_tables, n: int) -> Scalar:
+    """Res(r_n, r_{n-1}) by the unrolled product form in order-two notation,
+    an oracle independent of `FormulaContext`.
+
+    Takes the inputs of `recres.order_two_recurrence` -- initials r_0
+    (degree i), r_1 (degree j) and per-step tables (t_{0,s}, ..., t_{m,s})
+    -- and evaluates
+
+        R_n = (-1)^{sum_{s=2}^n m^{n-s} sigma(s)}
+              * prod_{s=2}^n (L_{s-1}^{gamma(s)} v_s^{deg r_{s-1}}
+                               C_{s-1}^l)^{m^{n-s}} * R_1^{m^{n-1}}
+
+    with its own degree/L/C expressions written in (i, j, k, l, m) terms,
+    a_{k,s} = lc(t_{0,s}), a_{0,s} = t_{0,s}(0) and v_s x^l = t_{m,s}.  It
+    shares nothing with FormulaContext except resultant_sylvester for the
+    base case R_1.
+    """
+    if n < 2:
+        raise ValueError("the formula starts at n = 2")
+    desc = initial0.descriptor
+    i, j = initial0.degree(), initial1.degree()
+    m = len(t_tables[0]) - 1
+    k = t_tables[0][0].degree()
+    l = t_tables[0][m].degree()
+
+    def deg(s: int) -> int:
+        if s == 0:
+            return i
+        if s == 1:
+            return j
+        # k (1 + m + ... + m^{s-2}) + j m^{s-1}
+        return k * sum(m**e for e in range(s - 1)) + j * m ** (s - 1)
+
+    def gamma(s: int) -> int:
+        if s == 2:
+            return k - l + m * (j - i)
+        return m ** (s - 2) * (k + j * (m - 1)) + k - l
+
+    def a_lead(s: int) -> Scalar:
+        return t_tables[s - 2][0].coeff_at(k)
+
+    def a_const(s: int) -> Scalar:
+        return t_tables[s - 2][0].coeff_at(0)
+
+    def v_of(s: int) -> Scalar:
+        return t_tables[s - 2][m].coeff_at(l)
+
+    q_j = initial1.leading_coeff()
+    p_i = initial0.leading_coeff()
+    q_0 = initial1.coeff_at(0)
+
+    def leading(s: int) -> Scalar:
+        if s <= 1:
+            return q_j
+        if i == j and k == l:
+            value = (a_lead(2) * q_j**m + v_of(2) * p_i**m) ** (m ** (s - 2))
+            for sigma in range(3, s + 1):
+                value = value * a_lead(sigma) ** (m ** (s - sigma))
+        else:
+            value = q_j ** (m ** (s - 1))
+            for sigma in range(2, s + 1):
+                value = value * a_lead(sigma) ** (m ** (s - sigma))
+        return value
+
+    def constant(s: int) -> Scalar:
+        if l == 0:
+            return Scalar(desc, 1)
+        value = q_0 ** (m ** (s - 1))
+        for sigma in range(2, s + 1):
+            value = value * a_const(sigma) ** (m ** (s - sigma))
+        return value
+
+    base = resultant_sylvester(initial1, initial0)
+    sign_exp = 0
+    value = base ** (m ** (n - 1))
+    for s in range(2, n + 1):
+        weight = m ** (n - s)
+        sign_exp += weight * (deg(s) * deg(s - 1) + l * deg(s - 1))
+        factor = leading(s - 1) ** gamma(s) * v_of(s) ** deg(s - 1) * constant(s - 1) ** l
+        value = value * factor**weight
+    if sign_exp % 2:
+        value = -value
+    return value

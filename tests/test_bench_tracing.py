@@ -112,3 +112,27 @@ def test_fp_euclid_on_the_deep_instance_runs_through_divrem(tmp_path):
         tracer.uninstall()
     assert summary["resultant.resultant_euclid"]["calls"] == 1
     assert summary["poly.divrem"]["calls"] > 0
+
+
+def test_fp_generate_on_the_deep_instances_multiplies_once_per_step(tmp_path):
+    """Over F_p at m = 1, `step` multiplies the summed multiplier of r_{n-1}
+    by r_{n-1} once, through `Poly.__mul__`, and the packed Euclid steps and
+    `Poly.divrem` make no `Poly` product: on both `deep` F_p instances the
+    traced benchmark's `poly.mul` gate sees exactly one call per step."""
+    instances = load_instances()
+    ops = instances.plan("deep", 1)["fp"]
+    tracing = load_tracing()
+    for shape in (instances.M1, instances.M1_D2):
+        op = next(op for op in ops if op.instance.shape == shape)
+        path = tmp_path / f"{op.instance.name}.json"
+        path.write_text(json.dumps(instances.instance_doc(op.instance, 1)))
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            assert recres.cli.main(["resultant", str(path), "--n", str(op.n), "--method", "euclid"]) == 0
+            summary = tracer.summary()
+        finally:
+            tracer.uninstall()
+        steps = summary["recurrence.step"]["calls"]
+        assert steps == op.n - shape.d
+        assert summary["poly.mul"]["calls"] == steps > 0, shape

@@ -12,7 +12,6 @@ from recres import (
     TTerm,
     degree_formula,
     generate,
-    order_two_formula,
     order_two_recurrence,
     prime_field,
     rationals,
@@ -22,7 +21,7 @@ from recres import (
     step,
     validate,
 )
-from helpers import rand_instance, rand_poly, rand_scalar, schur_formula
+from helpers import order_two_formula, rand_instance, rand_poly, rand_scalar, schur_formula
 
 Q = rationals()
 FP = prime_field(10007)

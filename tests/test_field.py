@@ -143,3 +143,37 @@ def test_field_axioms(triple):
     assert a + (-a) == zero_el
     if not a.is_zero():
         assert a * a.inv() == one_el
+
+
+@pytest.mark.parametrize("desc", [Q, prime_field(2), F7, prime_field(2**61 - 1)], ids=str)
+def test_scalar_results_equal_their_canonical_construction(desc):
+    # the arithmetic builds its results through `Scalar._of`; each must be
+    # the Scalar that canonicalizes the plain result, with the same payload
+    # type, 0^0 and negative exponents included
+    if desc.is_prime_field:
+        p = desc.modulus
+        payloads = sorted({0, 1, 2 % p, p - 1, 3 * p // 7, p // 2})
+    else:
+        payloads = [Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 7), Fraction(-22, 9), Fraction(10**20, 3)]
+    values = [Scalar(desc, v) for v in payloads]
+    for a in values:
+        x = a.value
+        cases = [(-a, -x)]
+        if x:
+            inverse = pow(x, -1, desc.modulus) if desc.is_prime_field else 1 / x
+            cases.append((a.inv(), inverse))
+        for e in range(-3, 6):
+            if e >= 0:
+                cases.append((a**e, 1 if e == 0 else x**e))  # 0^0 = 1
+            elif x:
+                cases.append((a**e, inverse ** (-e)))
+        for b in values:
+            y = b.value
+            cases += [(a + b, x + y), (a - b, x - y), (a * b, x * y)]
+            if y:
+                cases.append((a / b, x * (pow(y, -1, desc.modulus) if desc.is_prime_field else 1 / y)))
+        for result, raw in cases:
+            canonical = Scalar(desc, raw)
+            assert result == canonical, (a, raw)
+            assert type(result.value) is type(canonical.value), (a, raw)
+            assert hash(result) == hash(canonical)

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -314,6 +315,64 @@ def test_prime_divrem_long_quotients(p):
             assert_stored_form(r)
 
 
+FP_ONE_PASS_PRIMES = [2, 3, 5, 10007, 1000003, 2**61 - 1]
+
+
+@pytest.mark.parametrize("p", FP_ONE_PASS_PRIMES)
+def test_prime_add_scale_neg_match_make(p):
+    # F_p sums, scalings and negations reduce in one pass and skip `_make`;
+    # each must be `_make` of the plain integer result, in stored form,
+    # whether the operands cancel to 0, cancel at the top or differ in length
+    desc, rng = prime_field(p), random.Random(p)
+
+    def draw(length):
+        return [rng.choice([0, 1, p - 1, rng.randrange(p)]) for _ in range(length - 1)] + [rng.randrange(1, p)] if length else []
+
+    pairs = []
+    for la, lb in ((0, 0), (0, 3), (1, 1), (3, 3), (3, 40), (40, 3), (40, 40), (300, 2)):
+        a, b = draw(la), draw(lb)
+        pairs.append((a, b))
+        if la:
+            pairs.append((a, [-v % p for v in a]))  # a + (-a) = 0
+            top = [-v % p for v in a[-2:]]  # cancels the top one or two entries
+            pairs.append((a, draw(la - len(top)) + top))
+    for a, b in pairs:
+        f, g = Poly._raw(desc, a), Poly._raw(desc, b)
+        total = f + g
+        assert total == Poly._make(desc, [x + y for x, y in zip_longest(a, b, fillvalue=0)]), (a, b)
+        assert_stored_form(total)
+        negated = -f
+        assert negated == Poly._make(desc, [-v for v in a])
+        assert_stored_form(negated)
+        assert f - g == Poly._make(desc, [x - y for x, y in zip_longest(a, b, fillvalue=0)])
+        for u in (0, 1, p - 1, rng.randrange(p), rng.randrange(p)):
+            scaled = f.scale(Scalar(desc, u))
+            assert scaled == Poly._make(desc, [v * u for v in a]), (a, u)
+            assert_stored_form(scaled)
+
+
+@pytest.mark.parametrize("desc", [Q, prime_field(2), F97, prime_field(2**61 - 1)], ids=str)
+def test_poly_scalars_are_canonical(desc):
+    # coefficients and values leave a Poly through `Scalar._of`; each must be
+    # the Scalar that canonicalizes the same payload, with the same payload type
+    rng = random.Random(5)
+    for _ in range(20):
+        if desc.is_prime_field:
+            f = Poly(desc, [rng.randrange(-3 * desc.modulus, 3 * desc.modulus) for _ in range(rng.randint(0, 6))])
+            at = Scalar(desc, rng.randrange(desc.modulus))
+        else:  # integral polynomials (den 1) as well as fractional ones
+            degree = rng.randint(0, 6)
+            f = rand_fraction_poly(rng, degree) if rng.random() < 0.5 else Poly(desc, [rng.randint(-9, 9) for _ in range(degree)])
+            at = Scalar(desc, Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        raw = [Fraction(v, f._den) for v in f._c] if not desc.is_prime_field else list(f._c)
+        got = list(f.coeffs) + [f.leading_coeff(), f.coeff_at(0), f.coeff_at(len(raw) + 2), f.evaluate(at)]
+        want = raw + [raw[-1] if raw else 0, raw[0] if raw else 0, 0]
+        want.append(sum(c * at.value**s for s, c in enumerate(raw)))
+        for scalar, payload in zip(got, want, strict=True):
+            canonical = Scalar(desc, payload)
+            assert scalar == canonical and type(scalar.value) is type(canonical.value), (scalar, payload)
+
+
 def operands(desc, coeff):
     poly = st.lists(coeff, max_size=6).map(lambda c: Poly(desc, c))
     return st.tuples(poly, poly, coeff.map(lambda v: Scalar(desc, v)), st.integers(0, 3))
@@ -374,9 +433,11 @@ PACKED_PRIMES = [2, 3, 10007, 1000003, 268435399, 2**61 - 1, 2**89 - 1]
 
 @pytest.mark.parametrize("nbytes", range(1, 18))
 def test_pack_unpack_round_trip(nbytes):
+    # lengths on both sides of the per-entry packing cutoff
     rng = random.Random(nbytes)
     top = (1 << (8 * nbytes)) - 1
-    for length in (1, 2, 3, 8, 9, 100):
+    short = poly._PACK_PER_ENTRY
+    for length in (1, 2, 3, 8, 9, short - 1, short, short + 1, 100):
         c = [rng.choice([0, 1, top, rng.randrange(top + 1)]) for _ in range(length)]
         x = poly._pack(c, nbytes)
         assert x == sum(v << (8 * nbytes * s) for s, v in enumerate(c))

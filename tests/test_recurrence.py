@@ -1,4 +1,7 @@
+import dataclasses
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +23,7 @@ from recres import (
     step,
     validate,
 )
+from helpers import rand_fraction_poly, step_by_terms
 
 Q = rationals()
 FP = prime_field(10007)
@@ -66,6 +70,47 @@ def test_step_includes_extra_newest_factor_on_t_terms():
     window = [Poly.x(desc), Poly.one(desc)]
     # g r1^2 + t * (r1^1 r0^0) * r1 + v r0^2 = x^2*x^2 + x*x*x + 1
     assert step(spec, window, 2) == Poly(desc, [1, 0, 0, 1, 1])
+
+
+STEP_FIELDS = [prime_field(p) for p in (2, 3, 5, 10007, 1000003, 2**61 - 1)] + [Q]
+
+
+@pytest.mark.parametrize("l", [0, 1, 2])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("desc", STEP_FIELDS, ids=str)
+def test_step_matches_step_by_terms(desc, m, l):
+    # `step` sums the multipliers of r_{n-1} before its one product; the
+    # oracle multiplies each term by r_{n-1} on its own.  Windows are drawn
+    # freely (step checks no hypothesis), long enough for Kronecker
+    # products over F_p and with non-integral rationals over Q.
+    rng = random.Random(f"{desc}:{m}:{l}")
+
+    def draw(degree):
+        if degree < 0:
+            return Poly.zero(desc)
+        if desc.is_prime_field:
+            p = desc.modulus
+            return Poly(desc, [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)])
+        return rand_fraction_poly(rng, degree)
+
+    for d in (1, 2):
+        alphas = [a for a in itertools.product(range(m), repeat=d + 1) if sum(a) < m]
+        for trial in range(4):
+            k = rng.randint(1, 4)
+            window = [draw(rng.choice([0, 1, 3, 20, 70])) for _ in range(d + 1)]
+            chosen = rng.sample(alphas, rng.randint(0, len(alphas)))
+            # t(0) = 0, deg t < k, and now and then a zero t polynomial
+            t_terms = tuple(TTerm(a, draw(-1) if rng.random() < 0.2 else draw(rng.randint(0, k - 1)).shift(1)) for a in chosen)
+            v = Scalar(desc, rng.randint(1, 9)) if desc.is_prime_field else Scalar(desc, Fraction(rng.randint(1, 9), rng.randint(2, 9)))
+            steps = {d + 1: StepCoeffs(g=draw(k), v=v, t_terms=t_terms)}
+            spec = RecurrenceSpec(
+                descriptor=desc, d=d, m=m, k=k, l=l, degrees=tuple(range(d + 1)),
+                initials=tuple(window[::-1]), steps=steps,
+            )
+            assert step(spec, window, d + 1) == step_by_terms(spec, window, d + 1), (d, trial)
+            if trial == 0:  # with no t-terms at all
+                bare = dataclasses.replace(spec, steps={d + 1: StepCoeffs(g=steps[d + 1].g, v=v)})
+                assert step(bare, window, d + 1) == step_by_terms(bare, window, d + 1)
 
 
 def test_step_window_size_checked():

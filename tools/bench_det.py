@@ -23,6 +23,11 @@ The step tables are drawn up to n = 9, or up to the largest n timed if that
 is larger: the draw of the initials follows the steps, so every route that
 stops at n <= 9 times the same pairs.
 
+The generate route also times the `deep` workload's M1_D2 instance of seed 1
+(m = 1, d = 2, one t-term per step, deg r_n = 2n - 2) at its ladder,
+n = 100, 200, 300; over Q the same draw is read over Q.  Every row names its
+shape, M2 or M1_D2.
+
 Each row keeps the three runs, their median and the value, so row sets taken
 on two commits can be checked for equal values.  A Sylvester value is kept
 as it is (over Q as its text).  A Euclid value runs to 10^5 digits over Q,
@@ -41,6 +46,7 @@ appended to the runs of the output file, which is created if missing.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -80,8 +86,14 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def measure(route: str, prime: int | None, ns: tuple[int, ...]) -> list[dict]:
-    inst = instances.Instance(NAME, prime, instances.M2, max(N_LAST, *ns))
+def deep_m1_d2(prime: int | None) -> tuple[instances.Instance, tuple[int, ...]]:
+    """The `deep` workload's M1_D2 instance of seed SEED over the given field,
+    and the n of its ladder."""
+    ops = [op for op in instances.plan("deep", SEED)["fp"] if op.instance.shape == instances.M1_D2]
+    return dataclasses.replace(ops[0].instance, prime=prime), tuple(op.n for op in ops)
+
+
+def measure(route: str, shape: str, inst: instances.Instance, ns: tuple[int, ...]) -> list[dict]:
     spec = spec_from_json(instances.instance_doc(inst, SEED))
     seq = generate(spec, max(ns))
     call = {
@@ -96,7 +108,7 @@ def measure(route: str, prime: int | None, ns: tuple[int, ...]) -> list[dict]:
             start = time.perf_counter()
             value = call(n)
             runs.append(time.perf_counter() - start)
-        row = {"n": n}
+        row = {"shape": shape, "n": n}
         if route == "generate":
             row["degree"] = value.degree()
         else:
@@ -113,7 +125,7 @@ def measure(route: str, prime: int | None, ns: tuple[int, ...]) -> list[dict]:
             row["value_sha256"] = _digest(",".join(value.to_text()))
         rows.append(row)
         size = f"deg {row['degree']}" if route == "generate" else f"dim={row['dimension']}"
-        print(f"n={n} {size} median {row['seconds']:.3f} s", file=sys.stderr)
+        print(f"{shape} n={n} {size} median {row['seconds']:.3f} s", file=sys.stderr)
     return rows
 
 
@@ -127,6 +139,9 @@ def main() -> int:
     prime = instances.PRIME if args.field == "fp" else None
     stem = "det" if args.route == "sylvester" else args.route
     out = args.out or ROOT / f"BENCH_{stem}_{args.field}.json"
+    rows = measure(args.route, "M2", instances.Instance(NAME, prime, instances.M2, max(N_LAST, *ns)), ns)
+    if args.route == "generate":
+        rows += measure(args.route, "M1_D2", *deep_m1_d2(prime))
     status = _git("status", "--porcelain", "--", "src")
     run = {
         "git_sha": _git("rev-parse", "HEAD"),
@@ -136,7 +151,7 @@ def main() -> int:
         "prime": prime,
         "seed": SEED,
         "route": args.route,
-        "rows": measure(args.route, prime, ns),
+        "rows": rows,
     }
     doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {"runs": []}
     doc["runs"].append(run)

@@ -17,7 +17,8 @@ F_p those three reduce each entry in the loop that forms it and skip
 `_make`; a sum copies the longer operand's tail, already residues.
 
 Over Q a product is the schoolbook `_convolve`.  Over F_p a product of more
-than `_KS_CUTOFF` coefficient pairs goes by Kronecker substitution
+than `_KS_CUTOFF` coefficient pairs (and, where slots are wider than 8 bytes,
+more than `_KS_WIDE_PAIRS` per entry packed) goes by Kronecker substitution
 (Schonhage 1982; Harvey, JSC 2009): each vector is packed into one int with
 a coefficient per fixed-width slot, the two ints are multiplied by CPython's
 Karatsuba, and the product's slots are the product's coefficients.  The
@@ -52,7 +53,7 @@ from .field import (
     DivisionByZero,
     FieldDescriptor,
     Scalar,
-    _parse_integer,
+    _parse_texts,
 )
 
 __all__ = ["Poly", "NEG_INFINITY"]
@@ -72,10 +73,15 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
 # Below these sizes the loops win: Python 3.11 on a 2-core shared host, best
 # of 3 x 300 calls over F_3, F_10007 and F_1000003, as loop time / packed
 # time.  Products: 8 x 8 coefficients 0.7-0.75, 10 x 10 0.9-1.25, 12 x 12
-# 1.1-1.3, 2 x 100 1.0-1.3, 2 x 1000 2.1-3.0, 256 x 256 31-50.  (Over
-# F_(2^61 - 1) the slots are wider than 8 bytes and pack per entry: 2 x 1000
-# is 0.76, 32 x 32 2.6.)
+# 1.1-1.3, 2 x 100 1.0-1.3, 2 x 1000 2.1-3.0, 256 x 256 31-50.  Slots
+# wider than 8 bytes (p above about 2^29) pack one entry at a time, so the
+# packed route also pays per entry.  Over F_(2^61 - 1), best of 5 runs of
+# about 30000 coefficient pairs: 2 x 100 0.64-0.66, 2 x 1000 0.70, 3 x 100
+# 0.84-0.86, 3 x 1000 1.03-1.05, 4 x 64 0.86-1.02, 4 x 1000 1.25, 8 x 32
+# 1.47, 12 x 12 1.52, 64 x 64 4.9: there it wins from about
+# `_KS_WIDE_PAIRS` pairs per entry packed, len(a) * len(b) / (len(a) + len(b)).
 _KS_CUTOFF = 128  # coefficient pairs, len(a) * len(b)
+_KS_WIDE_PAIRS = 3
 # Division with quotient degree k by divisor degree d, best of 3 x 20 calls
 # over F_10007 and F_1000003: the row loop makes (k + 1) d slot updates, the
 # Newton route a reciprocal of length k + 1 and products of length k and d.
@@ -339,7 +345,15 @@ class Poly:
         """Coefficient of x^s; zero beyond the stored length."""
         if s < 0:
             raise ValueError("coefficient index must be >= 0")
-        return self._scalar(self._c[s] if s < len(self._c) else 0)
+        return Scalar._of(self.descriptor, self._value_at(s))
+
+    def _value_at(self, s: int) -> "int | Fraction":
+        """The payload of coeff_at(s), s >= 0, with no Scalar built: a
+        residue over F_p, a Fraction over Q."""
+        v = self._c[s] if s < len(self._c) else 0
+        if self.descriptor.is_prime_field:
+            return v
+        return Fraction(v, self._den) if self._den != 1 else Fraction(v)
 
     def leading_coeff(self) -> Scalar:
         return self._scalar(self._c[-1] if self._c else 0)
@@ -405,8 +419,11 @@ class Poly:
         a, b = self._c, other._c
         if not a or not b:
             return Poly.zero(self.descriptor)
-        if self.descriptor.is_prime_field and len(a) * len(b) > _KS_CUTOFF:
-            return Poly._make(self.descriptor, _ks_mul(a, b, self.descriptor.modulus))
+        p, pairs = self.descriptor.modulus, len(a) * len(b)
+        if p is not None and pairs > _KS_CUTOFF and (
+            _slot_bytes(p, min(len(a), len(b))) <= 8 or pairs > _KS_WIDE_PAIRS * (len(a) + len(b))
+        ):
+            return Poly._make(self.descriptor, _ks_mul(a, b, p))
         return Poly._make(self.descriptor, _convolve(a, b), self._den * other._den)
 
     __rmul__ = __mul__
@@ -420,6 +437,25 @@ class Poly:
             return Poly._raw(self.descriptor, [v * u % p for v in self._c] if u else ())
         num, den = s.value.numerator, s.value.denominator
         return Poly._make(self.descriptor, [v * num for v in self._c], self._den * den)
+
+    def _plus_scaled_shift(self, other: "Poly", s: Scalar, shift: int) -> "Poly":
+        """self + s * x^shift * other in one pass over the entries; the
+        vector of s * other is never formed on its own."""
+        a, b = self._c, other._c
+        if not b or not s.value:
+            return self
+        end = shift + len(b)
+        if len(a) < end:
+            a += (0,) * (end - len(a))
+        if self.descriptor.is_prime_field:
+            p, u = self.descriptor.modulus, s.value
+            c = [*a[:shift], *[(x + u * y) % p for x, y in zip(a[shift:end], b)], *a[end:]]
+            return Poly._raw(self.descriptor, _strip(c))
+        # a / da + (num / den) b / db over the denominator da * db * den
+        num, den = s.value.numerator, s.value.denominator
+        ua, ub = other._den * den, num * self._den
+        c = [*(x * ua for x in a[:shift]), *[x * ua + y * ub for x, y in zip(a[shift:end], b)], *(x * ua for x in a[end:])]
+        return Poly._make(self.descriptor, c, self._den * ua)
 
     def __pow__(self, exponent: int) -> "Poly":
         """Power by repeated squaring; exponent must be >= 0."""
@@ -525,11 +561,16 @@ class Poly:
 
     @classmethod
     def from_text(cls, descriptor: FieldDescriptor, coeffs: Sequence[str]) -> "Poly":
-        """The polynomial of `Scalar.parse` texts, ascending degree; over F_p
-        the texts go straight to ints."""
-        if descriptor.is_prime_field:
-            return cls._make(descriptor, [_parse_integer(descriptor, t) for t in coeffs])
-        return cls(descriptor, [Scalar.parse(descriptor, t) for t in coeffs])
+        """The polynomial of `Scalar.parse` texts, ascending degree."""
+        return cls._of_values(descriptor, _parse_texts(descriptor, list(coeffs)))
+
+    @classmethod
+    def _of_values(cls, descriptor: FieldDescriptor, values: list) -> "Poly":
+        """The polynomial of `field._parse_texts` values, ascending degree:
+        residues over F_p, or ints over Q, are the stored vector over 1."""
+        if descriptor.is_prime_field or not any(isinstance(v, Fraction) for v in values):
+            return cls._raw(descriptor, _strip(values))
+        return cls(descriptor, values)
 
     # -- dunder glue -------------------------------------------------------
 

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from recres import Poly, RecurrenceSpec, Scalar, rationals, resultant_sylvester, validate
-from recres.cli import Lcg, _draw_instance
+from recres import Poly, RecurrenceSpec, Scalar, StepCoeffs, TTerm, rationals, resultant_sylvester, validate
+from recres.recurrence import edge_base, edge_branch
+from recres.cli import SCHEMA_VERSION, InstanceFormatError, Lcg, _decimal, _draw_instance, _expect, _is_int, field_from_json
 
 
 INSTANCES = Path(__file__).resolve().parent.parent / "bench" / "instances.py"
@@ -79,6 +81,31 @@ def rand_instance(
         if validate(spec, n_max).ok:
             return spec, n_max
     raise RuntimeError("could not draw a valid instance")
+
+
+def divided(rng, poly, den_max):
+    """poly with each coefficient divided by its own draw from 1..den_max."""
+    return Poly(rationals(), [c.value / rng.randint(1, den_max) for c in poly.coeffs])
+
+
+def rand_fraction_instance(rng, den_max=12):
+    """A drawn integer instance over Q whose initials, g_n, t-polynomials and
+    v_n are divided coefficientwise by denominators up to den_max, then
+    validated again."""
+    while True:
+        spec, n_max = rand_instance(rng, rationals())
+        steps = {
+            n: StepCoeffs(
+                g=divided(rng, c.g, den_max),
+                v=Scalar(rationals(), c.v.value / rng.randint(1, den_max)),
+                t_terms=tuple(TTerm(t.alpha, divided(rng, t.poly, den_max)) for t in c.t_terms),
+            )
+            for n, c in spec.steps.items()
+        }
+        initials = tuple(divided(rng, r, den_max) for r in spec.initials)
+        spec = dataclasses.replace(spec, initials=initials, steps=steps)
+        if validate(spec, n_max).ok:
+            return spec, n_max
 
 
 def schur_formula(a: list[Scalar], c: list[Scalar], n: int) -> Scalar:
@@ -230,3 +257,105 @@ def order_two_formula(initial0: Poly, initial1: Poly, t_tables, n: int) -> Scala
     if sign_exp % 2:
         value = -value
     return value
+
+
+def closed_forms_by_scalars(spec: RecurrenceSpec, n: int) -> tuple[list, list, list, list]:
+    """deg r_s, L_s, C_s and R_s for s = 0..n (R_s from s = d), an oracle
+    independent of the residue pass of `FormulaContext`: the same one-step
+    updates on Scalars with exact degrees,
+
+        L_s = a_{k,s} L_{s-1}^m (E at s = d+1 on the edge branch),
+        C_s = a_{0,s} C_{s-1}^m + v_s C_{s-2}^m (v-term for l = 0 only),
+        R_s = (-1)^sigma(s) L_{s-1}^{gamma(s)} v_s^{deg r_{s-1}} C_{s-1}^l R_{s-1}^m,
+
+    with gamma(s) = deg r_s - l - m deg r_{s-2} and
+    sigma(s) = deg r_s deg r_{s-1} + l deg r_{s-1}.
+    """
+    d, m, k, l = spec.d, spec.m, spec.k, spec.l
+    deg = list(spec.degrees)
+    lead = [r.leading_coeff() for r in spec.initials]
+    const = [r.coeff_at(0) for r in spec.initials]
+    res = [None] * d + [resultant_sylvester(spec.initials[d], spec.initials[d - 1])]
+    for s in range(d + 1, n + 1):
+        coeffs = spec.step_coeffs(s)
+        deg.append(k + m * deg[s - 1])
+        if s == d + 1 and edge_branch(spec):
+            lead.append(edge_base(spec))
+        else:
+            lead.append(coeffs.g.coeff_at(k) * lead[s - 1] ** m)
+        value = coeffs.g.coeff_at(0) * const[s - 1] ** m
+        if l == 0:
+            value = value + coeffs.v * const[s - 2] ** m
+        const.append(value)
+        gamma = deg[s] - l - m * deg[s - 2]
+        value = res[s - 1] ** m * lead[s - 1] ** gamma * coeffs.v ** deg[s - 1] * const[s - 1] ** l
+        if (deg[s] * deg[s - 1] + l * deg[s - 1]) % 2:
+            value = -value
+        res.append(value)
+    return deg, lead, const, res
+
+
+def spec_from_json_by_parts(doc) -> RecurrenceSpec:
+    """An instance document read one polynomial at a time, with
+    `Poly.from_text` and `Scalar.parse` per text list: an oracle for the
+    specs and the messages of `recres.cli.spec_from_json`, which gathers
+    every text of the document and converts them at once."""
+    _expect(isinstance(doc, dict), "top level must be an object")
+    _expect(_is_int(doc.get("schema")) and doc["schema"] == SCHEMA_VERSION, f"schema must be {SCHEMA_VERSION}")
+    desc = field_from_json(doc.get("field"))
+    for key in ("d", "m", "k", "l"):
+        _expect(_is_int(doc.get(key)), f"{key!r} must be an integer")
+    d = doc["d"]
+    _expect(d >= 1, "d must be >= 1")
+    degrees = doc.get("degrees")
+    _expect(
+        isinstance(degrees, list) and all(_is_int(x) and x >= 0 for x in degrees),
+        "'degrees' must be a list of nonnegative integers",
+    )
+    initials = doc.get("initials")
+    _expect(isinstance(initials, list), "'initials' must be a list")
+    _expect(len(initials) == len(degrees) == d + 1, f"need exactly d+1 = {d + 1} degrees and initials")
+
+    def poly_of(coeffs, what: str) -> Poly:
+        _expect(isinstance(coeffs, list) and all(isinstance(c, str) for c in coeffs), f"{what} must be a list of scalar strings")
+        try:
+            return Poly.from_text(desc, coeffs)
+        except ValueError as exc:
+            raise InstanceFormatError(f"{what}: {exc}") from exc
+
+    initial_polys = tuple(poly_of(c, f"initials[{s}]") for s, c in enumerate(initials))
+    steps_doc = doc.get("steps", {})
+    _expect(isinstance(steps_doc, dict), "'steps' must be an object keyed by n")
+    steps: dict[int, StepCoeffs] = {}
+    for key, entry in steps_doc.items():
+        try:
+            n = _decimal(key)
+        except ValueError:
+            raise InstanceFormatError(f"step key {key!r} is not an integer") from None
+        _expect(n not in steps, f"step {n} appears twice")
+        _expect(n >= d + 1, f"step {n} precedes d+1 = {d + 1}")
+        _expect(isinstance(entry, dict), f"step {n} must be an object")
+        g = poly_of(entry.get("g"), f"steps[{n}].g")
+        _expect(isinstance(entry.get("v"), str), f"steps[{n}].v must be a scalar string")
+        try:
+            v = Scalar.parse(desc, entry["v"])
+        except ValueError as exc:
+            raise InstanceFormatError(f"steps[{n}].v: {exc}") from exc
+        t_doc = entry.get("t", [])
+        _expect(isinstance(t_doc, list), f"steps[{n}].t must be a list")
+        t_terms = []
+        for t in t_doc:
+            _expect(isinstance(t, dict), f"steps[{n}].t entries must be objects")
+            alpha = t.get("alpha")
+            _expect(
+                isinstance(alpha, list) and len(alpha) == d + 1 and all(_is_int(x) and x >= 0 for x in alpha),
+                f"steps[{n}]: alpha must be {d + 1} nonnegative integers",
+            )
+            t_terms.append(TTerm(alpha=tuple(alpha), poly=poly_of(t.get("coeffs"), f"steps[{n}].t coeffs")))
+        steps[n] = StepCoeffs(g=g, v=v, t_terms=tuple(t_terms))
+    name = doc.get("name")
+    _expect(name is None or isinstance(name, str), "'name' must be a string")
+    return RecurrenceSpec(
+        descriptor=desc, d=d, m=doc["m"], k=doc["k"], l=doc["l"],
+        degrees=tuple(degrees), initials=initial_polys, steps=steps, name=name,
+    )

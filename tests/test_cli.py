@@ -1,11 +1,15 @@
+import copy
+import gc
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import recres.cli as cli
 from recres import Poly, Scalar, __version__, prime_field, rationals
 from recres.cli import (
     InstanceFormatError,
@@ -18,6 +22,8 @@ from recres.cli import (
     spec_to_json,
     verify_records,
 )
+
+from helpers import rand_fraction_instance, rand_instance, spec_from_json_by_parts
 
 Q = rationals()
 REPO = Path(__file__).resolve().parent.parent
@@ -603,3 +609,140 @@ def test_help_smoke():
     assert result.returncode == 0
     for command in ("sequence", "resultant", "verify", "fuzz"):
         assert command in result.stdout
+
+
+# -- the loader against a one-polynomial-at-a-time oracle ------------------------
+
+
+JUNK_TEXTS = [
+    "", " ", "x", "1_0", "1.5", "1e3", "+-1", "1 2", "1/0", "0/0", "2/3", "-6/4", " 7 ", " 7 ", "\x1c5",
+    "٣", "１", "1 / 2", "1/ 2", "1/+2", "+", "1,2", "9" * 900, "-" + "7" * 2000, "1" * 500 + " " + "1" * 500,
+    5, None, [], 1.5, True,
+]
+JUNK_VALUES = [None, 5, "3", [], {}, [1], ["1", 2], True, [-1, 0, 0], [0, 0, 0], [True, 0, 0], [0.0, 0, 0]]
+JUNK_KEYS = ["x", "02", " 3", "-1", "0", "+9", "9 ", "٣", "1_0", ""]
+
+
+def text_slots(doc):
+    """(owner, key) of every scalar text of a document, in document order;
+    parts that an earlier fault broke are skipped."""
+    slots = []
+
+    def add(coeffs):
+        if isinstance(coeffs, list):
+            slots.extend((coeffs, i) for i in range(len(coeffs)))
+
+    for poly in doc["initials"] if isinstance(doc.get("initials"), list) else []:
+        add(poly)
+    for entry in doc["steps"].values() if isinstance(doc.get("steps"), dict) else []:
+        if isinstance(entry, dict):
+            add(entry.get("g"))
+            if "v" in entry:
+                slots.append((entry, "v"))
+            for t in entry["t"] if isinstance(entry.get("t"), list) else []:
+                if isinstance(t, dict):
+                    add(t.get("coeffs"))
+    return slots
+
+
+def mutate_doc(rng, doc):
+    """One random fault: a junk text, a junk structure or a junk step key."""
+    kind = rng.randrange(4)
+    steps = doc.get("steps")
+    entries = [e for e in steps.values() if isinstance(e, dict)] if isinstance(steps, dict) else []
+    slots = text_slots(doc)
+    if (kind == 0 or not entries) and slots:
+        owner, key = rng.choice(slots)
+        owner[key] = rng.choice(JUNK_TEXTS)
+    elif kind == 1 and entries:
+        entry = rng.choice(entries)
+        field = rng.choice(["g", "v", "t", "t0", "alpha", "coeffs"])
+        if field in ("g", "v", "t"):
+            entry[field] = rng.choice(JUNK_VALUES)
+        elif isinstance(entry.get("t"), list) and entry["t"] and isinstance(entry["t"][0], dict):
+            if field == "t0":
+                entry["t"][0] = rng.choice(JUNK_VALUES)
+            else:
+                entry["t"][0][field] = rng.choice(JUNK_VALUES)
+        else:
+            entry.pop(rng.choice(["g", "v"]), None)
+    elif kind == 2 and entries:
+        key = rng.choice(list(steps))
+        steps[rng.choice(JUNK_KEYS)] = steps.pop(key)
+    else:
+        doc[rng.choice(["steps", "initials", "name"])] = rng.choice(JUNK_VALUES)
+
+
+def load_outcome(loader, doc):
+    try:
+        return loader(copy.deepcopy(doc))
+    except InstanceFormatError as exc:
+        return f"InstanceFormatError: {exc}"
+    except Exception as exc:  # the two loaders must fail alike, whatever the failure
+        return f"{type(exc).__name__}: {exc}"
+
+
+def oracle_docs():
+    docs = [json.loads(path.read_text()) for path in (SCHUR_FILE, M2_FILE, ORDER3_FILE)]
+    rng = random.Random(31)
+    for desc in (prime_field(5), prime_field(10007), Q):
+        for _ in range(3):
+            docs.append(spec_to_json(rand_instance(rng, desc, k_max=3, n_max_extra=2)[0]))
+    docs.append(spec_to_json(rand_fraction_instance(random.Random(32))[0]))
+    return docs
+
+
+def test_loader_matches_the_one_at_a_time_loader_on_valid_documents():
+    for doc in oracle_docs():
+        spec, oracle = spec_from_json(doc), spec_from_json_by_parts(doc)
+        assert spec == oracle
+        # equal Scalars may still hold an int where a Fraction is due
+        assert [type(c.v.value) for c in spec.steps.values()] == [type(c.v.value) for c in oracle.steps.values()]
+        assert spec_from_json(spec_to_json(spec)) == spec
+
+
+def test_loader_names_the_faults_the_one_at_a_time_loader_names():
+    # one or two faults per document: with two, the one met first in document
+    # order must be named, whichever of a text and a structure it is
+    rng = random.Random(33)
+    faults = set()
+    for round_ in range(600):
+        doc = copy.deepcopy(rng.choice(oracle_docs()))
+        for _ in range(1 + round_ % 2):
+            mutate_doc(rng, doc)
+        expected = load_outcome(spec_from_json_by_parts, doc)
+        assert load_outcome(spec_from_json, doc) == expected, doc
+        faults.add(expected.split(":")[0] if isinstance(expected, str) else "ok")
+    assert "InstanceFormatError" in faults
+
+
+# -- the cyclic collector around loads and dumps ----------------------------------
+
+
+def test_write_json_frees_the_encoder_cycle_at_every_collector_count(tmp_path):
+    # json.dumps(indent=2) leaves a reference cycle; a collection that the
+    # dump itself triggers would promote it past the youngest generation,
+    # which is all that _write_json collects afterwards
+    doc = {"records": [{"a": [1, 2], "b": {"c": 3}} for _ in range(300)]}
+    threshold = gc.get_threshold()[0]
+    for filled in range(threshold - 60, threshold, 3):
+        gc.collect()
+        young = [[] for _ in range(filled)]  # the youngest generation nearly full
+        cli._write_json(tmp_path / "report.json", doc)
+        del young
+        assert gc.collect() == 0, filled
+    assert gc.isenabled()
+
+
+def test_load_leaves_the_collector_as_it_found_it(tmp_path):
+    good, bad = write_doc(tmp_path, schur_doc(), "good.json"), tmp_path / "bad.json"
+    bad.write_text("{not json")
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            load_instance(good)
+            with pytest.raises(InstanceFormatError):
+                load_instance(str(bad))
+            assert gc.isenabled() == enabled
+    finally:
+        gc.enable()

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -9,7 +8,6 @@ from recres import (
     RecurrenceSpec,
     Scalar,
     StepCoeffs,
-    TTerm,
     degree_formula,
     generate,
     order_two_recurrence,
@@ -21,7 +19,15 @@ from recres import (
     step,
     validate,
 )
-from helpers import order_two_formula, rand_instance, rand_poly, rand_scalar, schur_formula
+from helpers import (
+    closed_forms_by_scalars,
+    order_two_formula,
+    rand_fraction_instance,
+    rand_instance,
+    rand_poly,
+    rand_scalar,
+    schur_formula,
+)
 
 Q = rationals()
 FP = prime_field(10007)
@@ -277,31 +283,6 @@ def test_closed_forms_over_tiny_primes(p):
     assert nonzero >= 8  # most resultants vanish mod 3 or 5; enough must not
 
 
-def divided(rng, poly, den_max):
-    """poly with each coefficient divided by its own draw from 1..den_max."""
-    return Poly(Q, [c.value / rng.randint(1, den_max) for c in poly.coeffs])
-
-
-def rand_fraction_instance(rng, den_max=12):
-    """A drawn integer instance over Q whose initials, g_n, t-polynomials and
-    v_n are divided coefficientwise by denominators up to den_max, then
-    validated again."""
-    while True:
-        spec, n_max = rand_instance(rng, Q)
-        steps = {
-            n: StepCoeffs(
-                g=divided(rng, c.g, den_max),
-                v=Scalar(Q, c.v.value / rng.randint(1, den_max)),
-                t_terms=tuple(TTerm(t.alpha, divided(rng, t.poly, den_max)) for t in c.t_terms),
-            )
-            for n, c in spec.steps.items()
-        }
-        initials = tuple(divided(rng, r, den_max) for r in spec.initials)
-        spec = dataclasses.replace(spec, initials=initials, steps=steps)
-        if validate(spec, n_max).ok:
-            return spec, n_max
-
-
 def test_closed_forms_over_non_integral_rationals():
     rng = random.Random(112)
     denominators = set()
@@ -413,3 +394,70 @@ def test_edge_branch_identity():
         ctx = FormulaContext(spec)
         for n in range(spec.d + 1, n_max + 1):
             assert ctx.resultant_formula(n) == resultant_sylvester(seq[n], seq[n - 1])
+
+
+# -- the residue pass against the Scalar pass ---------------------------------
+
+
+def long_instance(rng, desc, m, l, n_max):
+    """A validated instance (allow_zero_v) with step tables to n_max, k >= l
+    and no t-terms, which the closed forms do not read.  Draws take the
+    edge branch, v_s = 0, g_s(0) = 0 and all-zero initial degrees (so that
+    v_{d+1}^{deg r_d} = 0^0) often."""
+    while True:
+        d = rng.choice((1, 2))
+        k = l + rng.randint(0, 2)
+        degrees = [0] * (d + 1) if rng.random() < 0.2 else sorted(rng.randint(0, 3) for _ in range(d + 1))
+        if rng.random() < 0.25:
+            k, degrees[d - 1] = l, degrees[d]  # the edge branch
+        initials = tuple(rand_poly(rng, desc, i) for i in degrees)
+        steps = {}
+        for n in range(d + 1, n_max + 1):
+            g = rand_poly(rng, desc, k)
+            if k and rng.random() < 0.1:
+                g = g - Poly(desc, [g.coeff_at(0)])  # g(0) = 0, so C_s may vanish
+            v = Scalar(desc, 0) if rng.random() < 0.05 else rand_scalar(rng, desc, nonzero=True)
+            steps[n] = StepCoeffs(g=g, v=v)
+        spec = RecurrenceSpec(
+            descriptor=desc, d=d, m=m, k=k, l=l, degrees=tuple(degrees), initials=initials, steps=steps,
+        )
+        if validate(spec, n_max, allow_zero_v=True).ok:
+            return spec
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 10007, 1000003, 2**61 - 1])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("l", [0, 1, 2])
+def test_residue_pass_matches_the_scalar_pass(p, m, l):
+    # to n = 80 the degrees pass 2(p - 1) many times: at m = 2 and m = 3 for
+    # every p, at m = 1 for the small ones
+    desc = prime_field(p)
+    rng = random.Random(p * 9 + m * 3 + l)
+    n_max = 80
+    for _ in range(4):
+        spec = long_instance(rng, desc, m, l, n_max)
+        _, lead, const, res = closed_forms_by_scalars(spec, n_max)
+        ctx = FormulaContext(spec)
+        for n in range(spec.d + 1, n_max + 1):
+            assert ctx.resultant_formula(n) == res[n], n
+            assert ctx.leading_term(n) == lead[n]
+            assert ctx.constant_value(n) == const[n]
+
+
+def test_residue_pass_keeps_zero_exponents_exact():
+    # deg r_1 = 0 and v_2 = 0: R_2 = v_2^0 R_1 = 1 for r_1 = 1, while any
+    # positive exponent, which a reduction mod 2(p - 1) could give, makes it 0;
+    # then v_3 = 0 meets deg r_2 = 2 = 2(p - 1) over F_2, which must stay positive
+    for p in (2, 3, 10007):
+        desc = prime_field(p)
+        spec = RecurrenceSpec(
+            descriptor=desc, d=1, m=1, k=2, l=0, degrees=(0, 0), initials=(Poly.one(desc), Poly.one(desc)),
+            steps={n: StepCoeffs(g=Poly(desc, [1, 0, 1]), v=Scalar(desc, 0 if n < 4 else 1)) for n in (2, 3, 4)},
+        )
+        assert validate(spec, 4, allow_zero_v=True).ok
+        ctx = FormulaContext(spec)
+        seq = generate(spec, 4)
+        for n in (2, 3, 4):
+            assert ctx.resultant_formula(n) == resultant_sylvester(seq[n], seq[n - 1]) == closed_forms_by_scalars(spec, 4)[3][n]
+        assert ctx.resultant_formula(2) == Scalar(desc, 1)
+        assert ctx.resultant_formula(3).is_zero()

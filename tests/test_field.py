@@ -1,3 +1,5 @@
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from recres import (
     prime_field,
     rationals,
 )
+from recres.field import _LONG_TEXT, _TEXT_BLOCK, _parse_texts
 
 Q = rationals()
 F7 = prime_field(7)
@@ -177,3 +180,63 @@ def test_scalar_results_equal_their_canonical_construction(desc):
             assert result == canonical, (a, raw)
             assert type(result.value) is type(canonical.value), (a, raw)
             assert hash(result) == hash(canonical)
+
+
+# -- bulk and long texts ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [2, 10007, 2**61 - 1])
+def test_long_texts_reduce_as_int_does(p):
+    # texts past _LONG_TEXT characters are reduced block by block
+    desc = prime_field(p)
+    rng = random.Random(p)
+    lengths = (_LONG_TEXT - 2, _LONG_TEXT - 1, _LONG_TEXT, _LONG_TEXT + 1, 4 * _TEXT_BLOCK, 4 * _TEXT_BLOCK + 1, 4300)
+    for length in lengths:
+        for sign, pad in (("", ""), ("+", " "), ("-", "\t ")):
+            digits = str(rng.randint(1, 9)) + "".join(rng.choice("0123456789") for _ in range(length - 1))
+            text = pad + sign + digits + pad
+            assert _parse_texts(desc, [text, "0" * length]) == [int(text) % p, 0]
+            assert Scalar.parse(desc, text).value == int(text) % p
+
+
+def test_long_texts_past_the_digit_cap_when_it_is_lifted():
+    saved = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = "-" + "9876543210" * 3000
+        for p in (3, 1000003, 2**61 - 1):
+            assert _parse_texts(prime_field(p), [text]) == [int(text) % p]
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1" * 500 + " " + "1" * 500, "+-" + "1" * 900, "1" * 900 + "_1", "1" * 600 + "٣" * 300, "-" * 900, "1" * 900 + "/2"],
+)
+def test_long_texts_refuse_what_int_refuses(text):
+    with pytest.raises(ValueError, match="cannot parse"):
+        _parse_texts(F7, [text])
+
+
+def test_bulk_texts_match_one_at_a_time():
+    # one check over all texts gives what each text gives alone, and a
+    # refusal names the first bad text
+    good = ["0", " 12", "-3 ", "+4", " 5 ", "\x1c6", "007"]
+    bad = ["", "1_0", "٣", "1.5", "1,2", "+-1", "1 2", "1/2", "x"]
+    rng = random.Random(9)
+    for desc in (F7, Q):
+        assert _parse_texts(desc, good) == [v for t in good for v in _parse_texts(desc, [t])]
+        for _ in range(60):
+            texts = rng.sample(good, 4) + rng.sample(bad, 2)
+            rng.shuffle(texts)
+            first_bad = next(t for t in texts if t in bad and not (desc is Q and t == "1/2"))
+            with pytest.raises(ValueError) as error:
+                _parse_texts(desc, texts)
+            assert str(error.value) == f"cannot parse {first_bad.strip()!r} as an element of {desc}"
+    assert _parse_texts(Q, ["1/2", " -6/4 ", "3"]) == [Fraction(1, 2), Fraction(-3, 2), 3]
+    for text in ("1 / 2", "1/ 2", "1/+2", "1/0", "1/2_0"):
+        with pytest.raises(ValueError):
+            _parse_texts(Q, ["1", text])

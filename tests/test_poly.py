@@ -472,6 +472,28 @@ def test_kronecker_product_matches_convolve(p):
         assert {8, 9} <= widths
 
 
+@pytest.mark.parametrize("p", [1000003, 268435399, 2**61 - 1])
+def test_kronecker_route_counts_entries_where_slots_are_wide(p, monkeypatch):
+    # past _KS_CUTOFF pairs the packed route is taken, except that slots wider
+    # than 8 bytes also need more than _KS_WIDE_PAIRS pairs per entry packed;
+    # the product is the same on either route
+    calls = []
+    ks_mul = poly._ks_mul
+    monkeypatch.setattr(poly, "_ks_mul", lambda a, b, q: calls.append(1) or ks_mul(a, b, q))
+    desc, rng = prime_field(p), random.Random(p)
+    for la, lb in [(2, 65), (2, 1000), (3, 1000), (4, 1000), (8, 17), (12, 12), (16, 16), (64, 64)]:
+        a = [rng.randrange(p) for _ in range(la - 1)] + [rng.randrange(1, p)]
+        b = [rng.randrange(p) for _ in range(lb - 1)] + [rng.randrange(1, p)]
+        calls.clear()
+        product = Poly(desc, a) * Poly(desc, b)
+        assert product == Poly._raw(desc, [v % p for v in poly._convolve(a, b)])
+        wide = poly._slot_bytes(p, min(la, lb)) > 8
+        packed = la * lb > poly._KS_CUTOFF and (not wide or la * lb > poly._KS_WIDE_PAIRS * (la + lb))
+        assert len(calls) == packed, (la, lb)
+        if p == 2**61 - 1:
+            assert packed == (min(la, lb) >= 4 and la * lb > poly._KS_CUTOFF), (la, lb)
+
+
 @pytest.mark.parametrize("p", [2, 3, 1000003, 2**61 - 1, 2**89 - 1])
 def test_prime_divrem_on_both_sides_of_the_newton_cutoff(p, monkeypatch):
     # divisor degree d and quotient degree k take the Newton route when

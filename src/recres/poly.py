@@ -16,16 +16,34 @@ kernels build no Fractions; the public accessors hand out Scalars.  Over
 F_p those three reduce each entry in the loop that forms it and skip
 `_make`; a sum copies the longer operand's tail, already residues.
 
+An F_p polynomial may hold its vector, its Kronecker image, or both.  The
+image `_img` is one int holding the same residues, entry s in slot s (the
+least significant first), every slot `_image_bytes(p)` wide; `_n` is the
+length of the vector, so degree and zero tests read neither form.  Images
+come only from kernels: a Kronecker product whose slots fit the image
+width, and `_plus_scaled_shift` (so a sum) with an operand that has an
+image; they reduce the packed result into [0, p) by `_reduce_mod_p`.  Such
+a result is image-only, a `_ImagePoly`: its `_c` slot is left unset, and
+the first read of it unpacks the image, through `__getattr__`, which Python
+calls only for an unset slot and which only that subclass defines, so a
+vector-backed polynomial pays nothing per read.  Kernels
+that take images take a vector-backed operand packed on the fly and never
+store that image (`_image`), so only kernel results carry one.  A Q
+polynomial never has an image.  The unpacking is idempotent: two threads
+that race on it compute equal tuples and store either one.
+
 Over Q a product is the schoolbook `_convolve`.  Over F_p a product of more
-than `_KS_CUTOFF` coefficient pairs (and, where slots are wider than 8 bytes,
-more than `_KS_WIDE_PAIRS` per entry packed) goes by Kronecker substitution
+than `_KS_CUTOFF` coefficient pairs goes by Kronecker substitution
 (Schonhage 1982; Harvey, JSC 2009): each vector is packed into one int with
 a coefficient per fixed-width slot, the two ints are multiplied by CPython's
 Karatsuba, and the product's slots are the product's coefficients.  The
-slot width, and the proof that no slot carries, live in `_slot_bytes`; the
-packed Sylvester elimination and Euclid steps of `resultant` use the same
-helper, and reduce packed ints slot by slot with no Python operation per
-slot through the one Barrett step of `_barrett_quotients`.  An F_p
+slot width, and the proof that no slot carries, live in `_slot_bytes`.
+When those slots fit the image width, the operands' images are multiplied
+and the reduced product is kept as an image; wider slots pack and unpack
+vectors (`_ks_mul`).  The packed Sylvester elimination and Euclid steps of
+`resultant` use the same helper (Euclid on images), and reduce packed ints
+slot by slot with no Python operation per slot through the one Barrett
+step of `_barrett_quotients`.  An F_p
 division whose row loop would make more than `_NEWTON_CUTOFF` slot updates
 by a divisor of degree at least `_NEWTON_MIN_DIVISOR` multiplies by a Newton
 reciprocal of the reversed divisor instead (von zur Gathen and Gerhard,
@@ -37,11 +55,14 @@ conventions hold: NEG_INFINITY + n == NEG_INFINITY and
 NEG_INFINITY < n for every finite n.
 
 Polynomials are immutable; all operations are pure and return new
-values, so instances are freely shareable across threads.
+values, so instances are freely shareable across threads (the one write
+after construction, the lazy `_c`, stores a value equal to any other
+thread's).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from fractions import Fraction
@@ -73,15 +94,20 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
 # Below these sizes the loops win: Python 3.11 on a 2-core shared host, best
 # of 3 x 300 calls over F_3, F_10007 and F_1000003, as loop time / packed
 # time.  Products: 8 x 8 coefficients 0.7-0.75, 10 x 10 0.9-1.25, 12 x 12
-# 1.1-1.3, 2 x 100 1.0-1.3, 2 x 1000 2.1-3.0, 256 x 256 31-50.  Slots
-# wider than 8 bytes (p above about 2^29) pack one entry at a time, so the
-# packed route also pays per entry.  Over F_(2^61 - 1), best of 5 runs of
-# about 30000 coefficient pairs: 2 x 100 0.64-0.66, 2 x 1000 0.70, 3 x 100
-# 0.84-0.86, 3 x 1000 1.03-1.05, 4 x 64 0.86-1.02, 4 x 1000 1.25, 8 x 32
-# 1.47, 12 x 12 1.52, 64 x 64 4.9: there it wins from about
-# `_KS_WIDE_PAIRS` pairs per entry packed, len(a) * len(b) / (len(a) + len(b)).
+# 1.1-1.3, 2 x 100 1.0-1.3, 2 x 1000 2.1-3.0, 256 x 256 31-50.  A product
+# whose slots fit the image width neither unpacks nor reduces entry by
+# entry, and wins past the cutoff even over F_(2^61 - 1), whose 16-byte
+# slots pack one entry at a time: best of 7, loop time / image time with
+# vector operands, 2 x 100 1.22, 2 x 1000 1.55, 3 x 100 1.46, 4 x 64 1.52,
+# 8 x 32 1.98, 12 x 12 1.75 (1.9-3.3 with the long operand an image).  Slots
+# that miss the image width need a shorter operand of at least 8 terms (see
+# `_image_bytes`), so at least 4 pairs per entry packed, len(a) * len(b) /
+# (len(a) + len(b)); where they are wider than 8 bytes the packed route
+# also pays per entry, and over F_(2^61 - 1), best of 5 runs of about 30000
+# coefficient pairs, it wins from about 3 pairs per entry: 2 x 100
+# 0.64-0.66, 2 x 1000 0.70, 3 x 100 0.84-0.86, 3 x 1000 1.03-1.05, 4 x 64
+# 0.86-1.02, 4 x 1000 1.25, 8 x 32 1.47, 12 x 12 1.52, 64 x 64 4.9.
 _KS_CUTOFF = 128  # coefficient pairs, len(a) * len(b)
-_KS_WIDE_PAIRS = 3
 # Division with quotient degree k by divisor degree d, best of 3 x 20 calls
 # over F_10007 and F_1000003: the row loop makes (k + 1) d slot updates, the
 # Newton route a reciprocal of length k + 1 and products of length k and d.
@@ -216,6 +242,51 @@ def _reduce_mod_p(y: int, p: int, w: int, even: int, ones: int) -> int:
     return t - ((t + ones * ((1 << (w - 1)) - p) >> (w - 1)) & ones) * p
 
 
+# Image width over F_1000003, 6-byte slots (`_slot_bytes(p, 2)`) against
+# 8-byte ones, which skip the strided slices of `_pack` and `_unpack`: best of
+# 9 alternating rounds, two runs, time at 8 bytes / time at 6 bytes.  Slicing
+# loses, but it is paid only where a vector is packed or an image unpacked,
+# while every product, reduction and Euclid step on images runs on ints a
+# third longer at 8 bytes:
+#
+#   product of images (short operand packed, multiply, `_reduce_mod_p`):
+#     2 x 300 1.36-1.41, 3 x 600 1.41-1.48, 2 x 1000 1.45-1.49, 64 x 64 1.27-1.32
+#   `_pack`:   64 entries 0.50, 300 0.62-0.64, 600 0.64-0.66, 1000 0.64-0.69
+#   `_unpack`: 64 slots 0.55-0.56, 300 0.71-0.74, 600 0.68-0.75, 1000 0.78-0.81
+#   `generate` on the `deep` M1_D2 instance of seed 1 to n = 300: 1.31-1.35
+#   `resultant_euclid` of its r_300 and r_299: 1.40-1.44
+#
+# so images keep the narrowest slot that holds the Euclid step's sums.
+def _image_bytes(p: int) -> int:
+    """The slot width of F_p images: `_slot_bytes(p, 2)`, which holds every
+    value below 4 p^2.
+
+    It also holds the product of two images whose shorter operand has at
+    most 7 terms: that slot needs 2 bitlen(p) + bitlen(terms) + 1 bits, and
+    2 bitlen(p) + 3 is odd, so its whole bytes leave at least one bit spare,
+    enough up to bitlen(terms) = 3.
+    """
+    return _slot_bytes(p, 2)
+
+
+@functools.lru_cache(maxsize=None)
+def _image_masks(nbytes: int, count: int) -> tuple[int, int]:
+    # `_slot_masks` for a power-of-two count: a few dozen entries per width
+    return _slot_masks(nbytes, count)
+
+
+def _reduce_image(y: int, p: int, nbytes: int, count: int) -> int:
+    """The low count slots of y, nbytes wide, each below 2^(8 nbytes) with
+    2p < 2^(8 nbytes), reduced into [0, p) by `_reduce_mod_p`; y has no
+    higher slots.  The masks are cached per width for count rounded up to
+    a power of two, and ones is cut to count slots, since a longer mask
+    costs its length."""
+    w = 8 * nbytes
+    top = 1 << (count - 1).bit_length()
+    even, ones = _image_masks(nbytes, top)
+    return _reduce_mod_p(y, p, w, even, ones >> w * (top - count))
+
+
 def _ks_mul(a: Sequence[int], b: Sequence[int], p: int, count: int = 0) -> list[int]:
     """The first count coefficients (all by default) of a * b, unreduced,
     for nonempty vectors of residues mod p, by Kronecker substitution.
@@ -267,7 +338,7 @@ def _strip(c: list) -> list:
 class Poly:
     """Immutable dense polynomial over one field."""
 
-    __slots__ = ("descriptor", "_c", "_den")
+    __slots__ = ("descriptor", "_c", "_den", "_n", "_img")
 
     def __init__(self, descriptor: FieldDescriptor, coeffs: Iterable = ()):
         values = []
@@ -282,17 +353,39 @@ class Poly:
         # that carries its full power
         den = math.lcm(*[v.denominator for v in values])
         self.descriptor = descriptor
-        self._c = tuple(_strip([v.numerator * (den // v.denominator) for v in values]))
+        self._c = c = tuple(_strip([v.numerator * (den // v.denominator) for v in values]))
         self._den = den
+        self._n = len(c)
+        self._img = None
 
     @classmethod
     def _raw(cls, descriptor: FieldDescriptor, c: Sequence[int], den: int = 1) -> "Poly":
         # internal: (c, den) already in stored form
         p = object.__new__(cls)
         p.descriptor = descriptor
-        p._c = tuple(c)
+        p._c = c = tuple(c)
         p._den = den
+        p._n = len(c)
+        p._img = None
         return p
+
+    @staticmethod
+    def _of_image(descriptor: FieldDescriptor, img: int, n: int) -> "Poly":
+        # internal: an F_p polynomial of n coefficients by its image alone,
+        # residues in [0, p) in slots of `_image_bytes(p)`, slot n - 1 nonzero
+        p = object.__new__(_ImagePoly)
+        p.descriptor = descriptor
+        p._img = img
+        p._den = 1
+        p._n = n
+        return p
+
+    def _image(self, nbytes: int) -> int:
+        """The image of this F_p polynomial, nbytes = `_image_bytes(p)`: the
+        stored one, or else its vector packed, and not stored, so that only
+        kernel results carry images."""
+        img = self._img
+        return _pack(self._c, nbytes) if img is None else img
 
     @classmethod
     def _make(cls, descriptor: FieldDescriptor, c: list[int], den: int = 1) -> "Poly":
@@ -329,10 +422,10 @@ class Poly:
 
     def degree(self) -> "int | float":
         """Index of the highest nonzero coefficient; NEG_INFINITY for 0."""
-        return len(self._c) - 1 if self._c else NEG_INFINITY
+        return self._n - 1 if self._n else NEG_INFINITY
 
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._n
 
     def _scalar(self, v: int) -> Scalar:
         """Entry v (or 0) of the stored vector as a Scalar: already a
@@ -385,6 +478,8 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._need(other)
+        if self._img is not None or other._img is not None:
+            return self._plus_scaled_shift(other, Scalar._of(self.descriptor, 1), 0)
         a, b, da, db = self._c, other._c, self._den, other._den
         if self.descriptor.is_prime_field:
             # one pass over the overlap; the longer operand's tail is
@@ -416,15 +511,18 @@ class Poly:
         if isinstance(other, int):
             return self.scale(Scalar(self.descriptor, other))
         self._need(other)
-        a, b = self._c, other._c
-        if not a or not b:
+        la, lb = self._n, other._n
+        if not la or not lb:
             return Poly.zero(self.descriptor)
-        p, pairs = self.descriptor.modulus, len(a) * len(b)
-        if p is not None and pairs > _KS_CUTOFF and (
-            _slot_bytes(p, min(len(a), len(b))) <= 8 or pairs > _KS_WIDE_PAIRS * (len(a) + len(b))
-        ):
-            return Poly._make(self.descriptor, _ks_mul(a, b, p))
-        return Poly._make(self.descriptor, _convolve(a, b), self._den * other._den)
+        p, pairs = self.descriptor.modulus, la * lb
+        if p is not None and pairs > _KS_CUTOFF:
+            width = _image_bytes(p)
+            if _slot_bytes(p, min(la, lb)) > width:
+                return Poly._make(self.descriptor, _ks_mul(self._c, other._c, p))
+            x = self._image(width)
+            product = x * x if other is self else x * other._image(width)
+            return Poly._of_image(self.descriptor, _reduce_image(product, p, width, la + lb - 1), la + lb - 1)
+        return Poly._make(self.descriptor, _convolve(self._c, other._c), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -440,15 +538,24 @@ class Poly:
 
     def _plus_scaled_shift(self, other: "Poly", s: Scalar, shift: int) -> "Poly":
         """self + s * x^shift * other in one pass over the entries; the
-        vector of s * other is never formed on its own."""
-        a, b = self._c, other._c
-        if not b or not s.value:
+        vector of s * other is never formed on its own.  Over F_p, if either
+        operand has an image, the pass is one multiply-add of images."""
+        if not other._n or not s.value:
             return self
+        if self.descriptor.is_prime_field:
+            p, u = self.descriptor.modulus, s.value
+            if self._img is not None or other._img is not None:
+                # each slot is below p + (p - 1)^2 < 4 p^2, within the image width
+                width = _image_bytes(p)
+                w = 8 * width
+                y = self._image(width) + u * (other._image(width) << w * shift)
+                y = _reduce_image(y, p, width, max(self._n, shift + other._n))
+                return Poly._of_image(self.descriptor, y, (y.bit_length() + w - 1) // w)
+        a, b = self._c, other._c
         end = shift + len(b)
         if len(a) < end:
             a += (0,) * (end - len(a))
         if self.descriptor.is_prime_field:
-            p, u = self.descriptor.modulus, s.value
             c = [*a[:shift], *[(x + u * y) % p for x, y in zip(a[shift:end], b)], *a[end:]]
             return Poly._raw(self.descriptor, _strip(c))
         # a / da + (num / den) b / db over the denominator da * db * den
@@ -578,6 +685,7 @@ class Poly:
         return (
             isinstance(other, Poly)
             and other.descriptor == self.descriptor
+            and other._n == self._n
             and other._den == self._den
             and other._c == self._c
         )
@@ -586,7 +694,7 @@ class Poly:
         return hash((self.descriptor, self._c, self._den))
 
     def __bool__(self) -> bool:
-        return bool(self._c)
+        return bool(self._n)
 
     def __str__(self) -> str:
         if not self._c:
@@ -614,3 +722,23 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.descriptor}, [{', '.join(self.to_text())}])"
+
+
+class _ImagePoly(Poly):
+    """A kernel result over F_p made from its image alone (`Poly._of_image`):
+    its `_c` slot starts unset and is unpacked on the first read.
+
+    Only this subclass defines `__getattr__`, which Python calls only for an
+    unset slot.  On CPython 3.11 a class with `__getattr__` loses the
+    specialized attribute loads of all its instances (a slot read went from
+    47 to 84 ns, a method call from 85 to 157 ns; 3.12 and 3.13 keep them),
+    so `Poly` itself, and every vector-backed and Q polynomial, keeps them.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        if name != "_c":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        c = self._c = tuple(_unpack(self._img, _image_bytes(self.descriptor.modulus), self._n))
+        return c

@@ -47,14 +47,14 @@ vectors instead of growing ever larger denominators.  The step factors
 are multiplied in a balanced pairwise tree: a reduced Fraction product runs
 gcds on both operands, so folding each factor into a growing result redoes
 that work on the result at every step.  The tree only reorders exact
-products, so the value is the same.  Over F_p the sequence stays packed in
-the slots of `poly._slot_bytes`: a step whose quotient has degree 1 reads
-the quotient off the top two slots of f and g, forms the remainder as one
-multiply-add of packed ints and reduces all its slots at once with the
-Barrett step of `poly._reduce_mod_p`; only longer quotients go through
-`Poly.divrem`, and the step factors are multiplied into one residue as they
-come.  The two routes must agree everywhere; that agreement is this
-package's core differential check.
+products, so the value is the same.  Over F_p the sequence stays packed,
+starting from the images of f and g (see `poly`): a step whose quotient has
+degree 1 reads the quotient off the top two slots of f and g, forms the
+remainder as one multiply-add of packed ints and reduces all its slots at
+once with the Barrett step of `poly._reduce_mod_p`; only longer quotients
+go through `Poly.divrem`, and the step factors are multiplied into one
+residue as they come.  The two routes must agree everywhere; that
+agreement is this package's core differential check.
 
 Conventions for degenerate inputs: Res with exactly one zero argument
 is 0, two nonzero constants give 1 (empty matrix), and two zero
@@ -67,7 +67,7 @@ import math
 from fractions import Fraction
 
 from .field import DescriptorMismatch, FieldDescriptor, Scalar
-from .poly import Poly, _negate_mod_p, _pack, _reduce_mod_p, _slot_bytes, _slot_masks, _unpack
+from .poly import Poly, _image_bytes, _negate_mod_p, _pack, _reduce_mod_p, _slot_bytes, _slot_masks, _unpack
 
 __all__ = [
     "sylvester_matrix",
@@ -264,24 +264,27 @@ def _euclid_prime(f: Poly, g: Poly) -> int:
     """Res(f, g) over F_p as a residue, for nonzero f and g with
     deg f >= deg g.
 
-    f and g are kept packed by `poly._pack` in slots of `_slot_bytes(p, 2)`,
-    which hold every value below 4 p^2.  While deg f = deg g + 1 the quotient
-    is q1 x + q0, read off the top two slots of f and g, and the remainder
-    f - q g is the packed sum F + (p - q1) (G << w) + (p - q0) G, each of
-    whose slots is below p + 2 p (p - 1) < 4 p^2, reduced into [0, p) by
-    `poly._reduce_mod_p`.  Its top two slots come out zero, and its degree
-    is read from its bit length.  A step with a longer quotient unpacks f
-    and g for `Poly.divrem`.  The step factors are multiplied as they come.
+    f and g are taken as their images (`Poly._image`: the stored image of a
+    kernel result, else the vector packed), in slots of
+    `poly._image_bytes(p)` = `_slot_bytes(p, 2)`, which hold every value
+    below 4 p^2, and the sequence stays packed.  While deg f = deg g + 1
+    the quotient is q1 x + q0, read off the top two slots of f and g, and
+    the remainder f - q g is the packed sum F + (p - q1) (G << w) +
+    (p - q0) G, each of whose slots is below p + 2 p (p - 1) < 4 p^2,
+    reduced into [0, p) by `poly._reduce_mod_p`.  Its top two slots come
+    out zero, and its degree is read from its bit length.  A step with a
+    longer quotient unpacks f and g for `Poly.divrem` and packs the
+    remainder.  The step factors are multiplied as they come.
     """
     desc = f.descriptor
     p = desc.modulus
-    nbytes = _slot_bytes(p, 2)
+    nbytes = _image_bytes(p)
     w = 8 * nbytes
     slot = (1 << w) - 1
     n, m = f.degree(), g.degree()
     top = n  # ones is cut to the n + 1 slots of each sum: a full-length mask costs its length per step
     even, ones = _slot_masks(nbytes, n + 1)
-    F, G = _pack(f._c, nbytes), _pack(g._c, nbytes)
+    F, G = f._image(nbytes), g._image(nbytes)
     value, sign = 1, 0
     while m:
         lc = G >> w * m

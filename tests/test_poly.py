@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 from itertools import zip_longest
@@ -286,10 +288,14 @@ def assert_stored_form(f):
     assert type(f._c) is tuple and all(type(v) is int for v in f._c)
     assert type(f._den) is int
     assert not f._c or f._c[-1]
+    assert f._n == len(f._c)
     if f.descriptor.is_prime_field:
         assert f._den == 1
         assert all(0 <= v < f.descriptor.modulus for v in f._c)
+        if f._img is not None:
+            assert f._img == poly._pack(f._c, poly._image_bytes(f.descriptor.modulus))
     else:
+        assert f._img is None
         assert f._den > 0
         assert math.gcd(f._den, *f._c) == 1
 
@@ -474,24 +480,38 @@ def test_kronecker_product_matches_convolve(p):
 
 @pytest.mark.parametrize("p", [1000003, 268435399, 2**61 - 1])
 def test_kronecker_route_counts_entries_where_slots_are_wide(p, monkeypatch):
-    # past _KS_CUTOFF pairs the packed route is taken, except that slots wider
-    # than 8 bytes also need more than _KS_WIDE_PAIRS pairs per entry packed;
-    # the product is the same on either route
+    # past _KS_CUTOFF pairs a product whose slots fit the image width is
+    # multiplied as images and keeps an image, and a wider one goes by
+    # _ks_mul; slots miss the image width only from 8 terms on, so a product
+    # with slots wider than 8 bytes that goes by _ks_mul always has more than
+    # 3 pairs per entry packed, where the packed route wins; the product is
+    # the same on every route
     calls = []
     ks_mul = poly._ks_mul
     monkeypatch.setattr(poly, "_ks_mul", lambda a, b, q: calls.append(1) or ks_mul(a, b, q))
     desc, rng = prime_field(p), random.Random(p)
-    for la, lb in [(2, 65), (2, 1000), (3, 1000), (4, 1000), (8, 17), (12, 12), (16, 16), (64, 64)]:
+    width = poly._image_bytes(p)
+    routes = set()
+    for la, lb in [(2, 65), (2, 1000), (3, 1000), (4, 1000), (8, 17), (12, 12), (16, 16), (64, 64), (128, 129)]:
         a = [rng.randrange(p) for _ in range(la - 1)] + [rng.randrange(1, p)]
         b = [rng.randrange(p) for _ in range(lb - 1)] + [rng.randrange(1, p)]
         calls.clear()
         product = Poly(desc, a) * Poly(desc, b)
+        nbytes = poly._slot_bytes(p, min(la, lb))
+        past = la * lb > poly._KS_CUTOFF
+        image = past and nbytes <= width
+        assert (product._img is not None) == image, (la, lb)
+        assert len(calls) == (past and not image), (la, lb)
         assert product == Poly._raw(desc, [v % p for v in poly._convolve(a, b)])
-        wide = poly._slot_bytes(p, min(la, lb)) > 8
-        packed = la * lb > poly._KS_CUTOFF and (not wide or la * lb > poly._KS_WIDE_PAIRS * (la + lb))
-        assert len(calls) == packed, (la, lb)
-        if p == 2**61 - 1:
-            assert packed == (min(la, lb) >= 4 and la * lb > poly._KS_CUTOFF), (la, lb)
+        routes.add("image" if image else "packed" if past else "loop")
+        if nbytes > width:
+            assert min(la, lb) >= 8, (la, lb)
+        if nbytes > 8 and past and not image:
+            assert la * lb > 3 * (la + lb), (la, lb)
+    assert routes == {"image", "packed"}
+    if p == 2**61 - 1:
+        # 16-byte images hold the products of fewer than 32 terms
+        assert width == 16 and poly._slot_bytes(p, 31) == 16 < poly._slot_bytes(p, 32)
 
 
 @pytest.mark.parametrize("p", [2, 3, 1000003, 2**61 - 1, 2**89 - 1])
@@ -520,3 +540,129 @@ def test_prime_divrem_on_both_sides_of_the_newton_cutoff(p, monkeypatch):
                 assert len(calls) == (deg_g >= shortest and deg_q >= cutoff), (deg_g, deg_q)
                 assert_stored_form(q)
                 assert_stored_form(r)
+
+
+# -- image-backed F_p polynomials -------------------------------------------
+
+IMAGE_PRIMES = [2, 3, 5, 10007, 1000003, 2**61 - 1]
+
+
+def image_only(desc, c):
+    """The stored vector c as an image-only polynomial, its `_c` unset."""
+    return Poly._of_image(desc, poly._pack(list(c), poly._image_bytes(desc.modulus)), len(c))
+
+
+def vector_unset(f):
+    # the slot itself, bypassing the lazy unpacking of __getattr__
+    try:
+        Poly._c.__get__(f)
+    except AttributeError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("p", IMAGE_PRIMES)
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_image_backed_and_vector_backed_polys_are_interchangeable(p, data):
+    # every reader sees the same polynomial in either stored form; the zero
+    # polynomial is drawn too
+    desc = prime_field(p)
+    residues = st.integers(0, p - 1) | st.sampled_from([0, 1, p - 1])
+    c = poly._strip(data.draw(st.lists(residues, max_size=40)))
+    d = poly._strip(data.draw(st.lists(residues, min_size=1, max_size=12)))
+    at = Scalar(desc, data.draw(residues))
+    vec, g = Poly._raw(desc, c), Poly._raw(desc, d)
+
+    def img():
+        return image_only(desc, c)
+
+    f = img()
+    assert (f.degree(), f.is_zero(), bool(f)) == (vec.degree(), vec.is_zero(), bool(vec))
+    assert vector_unset(f)
+    assert f == vec and vec == img() and hash(img()) == hash(vec)
+    assert img().coeffs == vec.coeffs and img().to_text() == vec.to_text()
+    assert str(img()) == str(vec) and repr(img()) == repr(vec)
+    assert img().evaluate(at) == vec.evaluate(at)
+    assert img().leading_coeff() == vec.leading_coeff() and img().coeff_at(3) == vec.coeff_at(3)
+    if g:
+        assert img().divrem(g) == vec.divrem(g)
+    if c:
+        assert g.divrem(img()) == g.divrem(vec)
+    for copied in (pickle.loads(pickle.dumps(img())), copy.copy(img()), copy.deepcopy(img())):
+        assert copied == vec and hash(copied) == hash(vec)
+        assert_stored_form(copied)
+    # kernels on either form agree, and their image results are canonical
+    s = Scalar(desc, data.draw(residues))
+    shift = data.draw(st.integers(0, 5))
+    for x, y in ((img(), g), (g, img()), (img(), img())):
+        x_vec, y_vec = Poly._raw(desc, x._c), Poly._raw(desc, y._c)
+        for got, want in (
+            (x + y, x_vec + y_vec),
+            (x - y, x_vec - y_vec),
+            (x * y, x_vec * y_vec),
+            (x._plus_scaled_shift(y, s, shift), x_vec._plus_scaled_shift(y_vec, s, shift)),
+        ):
+            assert got == want
+            assert_stored_form(got)
+    assert (img() - img()).is_zero()
+
+
+def test_image_only_poly_unpacks_once_and_names_nothing_else():
+    desc = prime_field(1000003)
+    f = image_only(desc, [5, 0, 7])
+    assert vector_unset(f)
+    assert f._c == (5, 0, 7) and not vector_unset(f)
+    assert f._c is f._c and f._img is not None
+    for name in ("no_such_name", "__setstate__", "c", "_C", "__c"):
+        with pytest.raises(AttributeError):
+            getattr(f, name)
+    # only image-only polynomials look an unset slot up, and a bare one
+    # unpacks nothing
+    assert type(f) is not Poly and type(Poly(desc, [1])) is Poly
+    for bare in (object.__new__(Poly), object.__new__(type(f))):
+        for name in ("_c", "_img", "_n", "descriptor"):
+            assert not hasattr(bare, name)
+    # vector-backed polynomials, and every Q polynomial, carry no image, and
+    # packing one for a kernel stores nothing
+    for v in (Poly(desc, [1, 2, 3]), P(1, 2, 3), Poly.x(desc)):
+        assert v._img is None
+    v = Poly(desc, list(range(1, 300)))
+    width = poly._image_bytes(1000003)
+    assert v._image(width) == poly._pack(v._c, width) and v._img is None
+
+
+@pytest.mark.parametrize("p", IMAGE_PRIMES)
+def test_products_whose_slots_just_fit_or_just_miss_the_image_width(p):
+    # the shorter operand's length sets the slot width; the largest length
+    # that fits the image width keeps an image, one more does not; all
+    # entries p - 1 put the largest sums in the slots
+    desc, rng = prime_field(p), random.Random(p)
+    width = poly._image_bytes(p)
+    fit = max(t for t in range(1, 1024) if poly._slot_bytes(p, t) <= width)
+    assert 7 <= fit and poly._slot_bytes(p, fit + 1) > width
+    for short in (fit, fit + 1):
+        long = max(short, poly._KS_CUTOFF // short + 1)
+        for draw in (lambda: p - 1, lambda: rng.randrange(p)):
+            a = [draw() for _ in range(short - 1)] + [p - 1]
+            b = [draw() for _ in range(long - 1)] + [rng.randrange(1, p)]
+            want = Poly._raw(desc, [v % p for v in poly._convolve(a, b)])
+            for x in (Poly._raw(desc, a), image_only(desc, a)):
+                for y in (Poly._raw(desc, b), image_only(desc, b)):
+                    for got in (x * y, y * x):
+                        assert (got._img is not None) == (short == fit), short
+                        assert got == want
+                        assert_stored_form(got)
+            square = image_only(desc, a)
+            got = square * square
+            assert (got._img is not None) == (short == fit and short * short > poly._KS_CUTOFF)
+            assert got == Poly._raw(desc, [v % p for v in poly._convolve(a, a)])
+
+
+def test_image_width_holds_every_product_with_a_short_side_below_8_terms():
+    # widths depend on p only through its bit length; so no product past the
+    # cutoff with slots wider than the image width has fewer than 4 pairs
+    # per entry packed
+    for bits in range(2, 200):
+        p = (1 << bits) - 1
+        assert poly._slot_bytes(p, 7) <= poly._image_bytes(p) == poly._slot_bytes(p, 2)

@@ -106,7 +106,7 @@ def _parse_texts(descriptor: "FieldDescriptor", texts: list[str]) -> list[int | 
     matched against the pattern first; a text with "/" is always matched.
     A text that is not a str raises TypeError.  If a text is refused, the
     texts are checked one at a time, and the ValueError names the first
-    bad one as `Scalar.parse` does.
+    bad one, as it would name that text alone.
     """
     if not texts:
         return []
@@ -293,11 +293,6 @@ class Scalar:
         if self.value.denominator == 1:
             return str(self.value.numerator)
         return f"{self.value.numerator}/{self.value.denominator}"
-
-    @staticmethod
-    def parse(descriptor: FieldDescriptor, text: str) -> "Scalar":
-        """Parse the text encoding; integers outside [0, p) are reduced."""
-        return Scalar(descriptor, _parse_texts(descriptor, [text])[0])
 
     def __str__(self) -> str:
         return self.to_text()

@@ -11,26 +11,28 @@ in the manner of FLINT's fmpq_poly, and coefficient s is `_c[s] / _den`.
 * in both fields the last entry is nonzero; the zero polynomial is the
   empty vector.
 
-So sums, negation and scaling are integer loops in both fields, and the
-kernels build no Fractions; the public accessors hand out Scalars.  Over
-F_p those three reduce each entry in the loop that forms it and skip
-`_make`; a sum copies the longer operand's tail, already residues.
+The kernels build no Fractions; the public accessors hand out Scalars.
+Every linear operation is one kernel, `_plus_scaled_shift`, which forms
+a + u x^l b for a canonical payload u in one pass: a sum is u = 1, a
+difference u = -1 (p - 1 over F_p), and negation, scaling and shifting
+apply it to the zero polynomial.  Over F_p it reduces each entry in the
+loop that forms it and skips `_make`.
 
 An F_p polynomial may hold its vector, its Kronecker image, or both.  The
 image `_img` is one int holding the same residues, entry s in slot s (the
 least significant first), every slot `_image_bytes(p)` wide; `_n` is the
 length of the vector, so degree and zero tests read neither form.  Images
 come only from kernels: a Kronecker product whose slots fit the image
-width, and `_plus_scaled_shift` (so a sum) with an operand that has an
-image; they reduce the packed result into [0, p) by `_reduce_mod_p`.  Such
-a result is image-only, a `_ImagePoly`: its `_c` slot is left unset, and
-the first read of it unpacks the image, through `__getattr__`, which Python
-calls only for an unset slot and which only that subclass defines, so a
-vector-backed polynomial pays nothing per read.  Kernels
-that take images take a vector-backed operand packed on the fly and never
-store that image (`_image`), so only kernel results carry one.  A Q
-polynomial never has an image.  The unpacking is idempotent: two threads
-that race on it compute equal tuples and store either one.
+width, and `_plus_scaled_shift` (so every linear operation) with an
+operand that has an image; they reduce the packed result into [0, p) by
+`_reduce_mod_p`.  Such a result is image-only, a `_ImagePoly`: its `_c`
+slot is left unset, and the first read of it unpacks the image, through
+`__getattr__`, which Python calls only for an unset slot and which only
+that subclass defines, so a vector-backed polynomial pays nothing per
+read.  Kernels that take images take a vector-backed operand packed on the
+fly and never store that image (`_image`), so only kernel results carry
+one.  A Q polynomial never has an image.  The unpacking is idempotent: two
+threads that race on it compute equal tuples and store either one.
 
 Over Q a product is the schoolbook `_convolve`.  Over F_p a product of more
 than `_KS_CUTOFF` coefficient pairs goes by Kronecker substitution
@@ -66,7 +68,6 @@ import functools
 import math
 import struct
 from fractions import Fraction
-from itertools import zip_longest
 from typing import Iterable, Sequence
 
 from .field import (
@@ -74,7 +75,6 @@ from .field import (
     DivisionByZero,
     FieldDescriptor,
     Scalar,
-    _parse_texts,
 )
 
 __all__ = ["Poly", "NEG_INFINITY"]
@@ -478,32 +478,15 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._need(other)
-        if self._img is not None or other._img is not None:
-            return self._plus_scaled_shift(other, Scalar._of(self.descriptor, 1), 0)
-        a, b, da, db = self._c, other._c, self._den, other._den
-        if self.descriptor.is_prime_field:
-            # one pass over the overlap; the longer operand's tail is
-            # residues already
-            if len(a) < len(b):
-                a, b = b, a
-            p = self.descriptor.modulus
-            c = [(x + y) % p for x, y in zip(a, b)]
-            c += a[len(b) :]
-            return Poly._raw(self.descriptor, _strip(c))
-        if da == db:
-            return Poly._make(self.descriptor, [x + y for x, y in zip_longest(a, b, fillvalue=0)], da)
-        den = math.lcm(da, db)
-        ua, ub = den // da, den // db
-        return Poly._make(self.descriptor, [x * ua + y * ub for x, y in zip_longest(a, b, fillvalue=0)], den)
+        return self._plus_scaled_shift(other, 1, 0)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        self._need(other)
+        p = self.descriptor.modulus
+        return self._plus_scaled_shift(other, -1 if p is None else p - 1, 0)
 
     def __neg__(self) -> "Poly":
-        if self.descriptor.is_prime_field:
-            p = self.descriptor.modulus
-            return Poly._raw(self.descriptor, [-v % p for v in self._c])
-        return Poly._make(self.descriptor, [-v for v in self._c], self._den)
+        return Poly.zero(self.descriptor) - self
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, Scalar):
@@ -529,40 +512,42 @@ class Poly:
     def scale(self, s: Scalar) -> "Poly":
         if s.descriptor is not self.descriptor and s.descriptor != self.descriptor:
             raise DescriptorMismatch(f"{self.descriptor} vs {s.descriptor}")
-        if self.descriptor.is_prime_field:
-            # a unit times a nonzero lead leaves a nonzero lead
-            p, u = self.descriptor.modulus, s.value
-            return Poly._raw(self.descriptor, [v * u % p for v in self._c] if u else ())
-        num, den = s.value.numerator, s.value.denominator
-        return Poly._make(self.descriptor, [v * num for v in self._c], self._den * den)
+        return Poly.zero(self.descriptor)._plus_scaled_shift(self, s.value, 0)
 
-    def _plus_scaled_shift(self, other: "Poly", s: Scalar, shift: int) -> "Poly":
-        """self + s * x^shift * other in one pass over the entries; the
-        vector of s * other is never formed on its own.  Over F_p, if either
-        operand has an image, the pass is one multiply-add of images."""
-        if not other._n or not s.value:
+    def _plus_scaled_shift(self, other: "Poly", u: "int | Fraction", shift: int) -> "Poly":
+        """self + u * x^shift * other in one pass over the entries, for a
+        canonical payload u: a residue in [0, p) over F_p, an int or a
+        Fraction over Q.  The vector of u * other is never formed on its own.
+
+        Over F_p, if either operand has an image, the pass is one multiply-add
+        of images: each slot is at most (p - 1) + u (p - 1), below
+        p + (p - 1)^2 < 4 p^2 and so within the image width only because
+        u <= p - 1.  So -1 is passed as p - 1.
+        """
+        if not other._n or not u:
             return self
-        if self.descriptor.is_prime_field:
-            p, u = self.descriptor.modulus, s.value
-            if self._img is not None or other._img is not None:
-                # each slot is below p + (p - 1)^2 < 4 p^2, within the image width
-                width = _image_bytes(p)
-                w = 8 * width
-                y = self._image(width) + u * (other._image(width) << w * shift)
-                y = _reduce_image(y, p, width, max(self._n, shift + other._n))
-                return Poly._of_image(self.descriptor, y, (y.bit_length() + w - 1) // w)
+        desc, p = self.descriptor, self.descriptor.modulus
+        if p is not None and (self._img is not None or other._img is not None):
+            width = _image_bytes(p)
+            w = 8 * width
+            y = self._image(width) + u * (other._image(width) << w * shift)
+            y = _reduce_image(y, p, width, max(self._n, shift + other._n))
+            return Poly._of_image(desc, y, (y.bit_length() + w - 1) // w)
         a, b = self._c, other._c
+        if p is None:
+            # a / da + (num / dn) b / db over da * db * dn: a times db * dn,
+            # b times num * da
+            ua, u = other._den * u.denominator, u.numerator * self._den
+            if ua != 1:
+                a = [x * ua for x in a]
         end = shift + len(b)
         if len(a) < end:
             a += (0,) * (end - len(a))
-        if self.descriptor.is_prime_field:
-            c = [*a[:shift], *[(x + u * y) % p for x, y in zip(a[shift:end], b)], *a[end:]]
-            return Poly._raw(self.descriptor, _strip(c))
-        # a / da + (num / den) b / db over the denominator da * db * den
-        num, den = s.value.numerator, s.value.denominator
-        ua, ub = other._den * den, num * self._den
-        c = [*(x * ua for x in a[:shift]), *[x * ua + y * ub for x, y in zip(a[shift:end], b)], *(x * ua for x in a[end:])]
-        return Poly._make(self.descriptor, c, self._den * ua)
+        if p is None:
+            c = [*a[:shift], *[x + u * y for x, y in zip(a[shift:end], b)], *a[end:]]
+            return Poly._make(desc, c, self._den * ua)
+        c = [*a[:shift], *[(x + u * y) % p for x, y in zip(a[shift:end], b)], *a[end:]]
+        return Poly._raw(desc, _strip(c))
 
     def __pow__(self, exponent: int) -> "Poly":
         """Power by repeated squaring; exponent must be >= 0."""
@@ -584,9 +569,7 @@ class Poly:
         """Multiply by x^powers."""
         if powers < 0:
             raise ValueError("shift must be >= 0")
-        if not self._c:
-            return self
-        return Poly._raw(self.descriptor, (0,) * powers + self._c, self._den)
+        return Poly.zero(self.descriptor)._plus_scaled_shift(self, 1, powers)
 
     # -- division ----------------------------------------------------------
 
@@ -665,11 +648,6 @@ class Poly:
     def to_text(self) -> list[str]:
         """Coefficient strings, ascending degree; [] is the zero polynomial."""
         return [s.to_text() for s in self.coeffs]
-
-    @classmethod
-    def from_text(cls, descriptor: FieldDescriptor, coeffs: Sequence[str]) -> "Poly":
-        """The polynomial of `Scalar.parse` texts, ascending degree."""
-        return cls._of_values(descriptor, _parse_texts(descriptor, list(coeffs)))
 
     @classmethod
     def _of_values(cls, descriptor: FieldDescriptor, values: list) -> "Poly":

@@ -316,7 +316,7 @@ def step(spec: RecurrenceSpec, window: Sequence[Poly], n: int) -> Poly:
         head = coeffs.g * newest**spec.m
         if multiplier is not None:
             head = multiplier * newest + head
-    return head._plus_scaled_shift(window[1] ** spec.m, coeffs.v, spec.l)
+    return head._plus_scaled_shift(window[1] ** spec.m, coeffs.v.value, spec.l)
 
 
 def generate(spec: RecurrenceSpec, upto: int) -> list[Poly]:

@@ -10,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from recres import Poly, RecurrenceSpec, Scalar, StepCoeffs, TTerm, rationals, resultant_sylvester, validate
+from recres.field import _parse_texts
 from recres.recurrence import edge_base, edge_branch
 from recres.cli import SCHEMA_VERSION, InstanceFormatError, Lcg, _decimal, _draw_instance, _expect, _is_int, field_from_json
 
@@ -24,6 +25,16 @@ def load_instances():
     sys.modules[spec.name] = module  # its dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
+
+
+def parse_scalar(desc, text: str) -> Scalar:
+    """The scalar of one text, converted as the instance loader converts it."""
+    return Scalar(desc, _parse_texts(desc, [text])[0])
+
+
+def parse_poly(desc, texts) -> Poly:
+    """The polynomial of coefficient texts, ascending degree, converted as the instance loader converts them."""
+    return Poly._of_values(desc, _parse_texts(desc, list(texts)))
 
 
 def rand_scalar(rng: random.Random, desc, lo=-9, hi=9, nonzero=False) -> Scalar:
@@ -297,7 +308,7 @@ def closed_forms_by_scalars(spec: RecurrenceSpec, n: int) -> tuple[list, list, l
 
 def spec_from_json_by_parts(doc) -> RecurrenceSpec:
     """An instance document read one polynomial at a time, with
-    `Poly.from_text` and `Scalar.parse` per text list: an oracle for the
+    `parse_poly` and `parse_scalar` per text list: an oracle for the
     specs and the messages of `recres.cli.spec_from_json`, which gathers
     every text of the document and converts them at once."""
     _expect(isinstance(doc, dict), "top level must be an object")
@@ -319,7 +330,7 @@ def spec_from_json_by_parts(doc) -> RecurrenceSpec:
     def poly_of(coeffs, what: str) -> Poly:
         _expect(isinstance(coeffs, list) and all(isinstance(c, str) for c in coeffs), f"{what} must be a list of scalar strings")
         try:
-            return Poly.from_text(desc, coeffs)
+            return parse_poly(desc, coeffs)
         except ValueError as exc:
             raise InstanceFormatError(f"{what}: {exc}") from exc
 
@@ -338,7 +349,7 @@ def spec_from_json_by_parts(doc) -> RecurrenceSpec:
         g = poly_of(entry.get("g"), f"steps[{n}].g")
         _expect(isinstance(entry.get("v"), str), f"steps[{n}].v must be a scalar string")
         try:
-            v = Scalar.parse(desc, entry["v"])
+            v = parse_scalar(desc, entry["v"])
         except ValueError as exc:
             raise InstanceFormatError(f"steps[{n}].v: {exc}") from exc
         t_doc = entry.get("t", [])

@@ -19,7 +19,7 @@ from recres import (
     rationals,
 )
 from recres import poly
-from helpers import rand_fraction_poly, rand_nonzero_poly
+from helpers import parse_poly, parse_scalar, rand_fraction_poly, rand_nonzero_poly
 
 Q = rationals()
 F97 = prime_field(97)
@@ -130,8 +130,8 @@ def test_shift():
 def test_text_encoding():
     f = P(Fraction(-1, 2), 0, 1)
     assert f.to_text() == ["-1/2", "0", "1"]
-    assert Poly.from_text(Q, f.to_text()) == f
-    assert Poly.from_text(Q, []).is_zero()
+    assert parse_poly(Q, f.to_text()) == f
+    assert parse_poly(Q, []).is_zero()
 
 
 F10007 = prime_field(10007)
@@ -142,10 +142,10 @@ F10007 = prime_field(10007)
     [" 7", "7\n", "\t+3 ", "-1", "+0", "-0", "007", "10006", "10007", "10008", "-20015", str(3 * 10**40 + 5)],
 )
 def test_fp_from_text_matches_scalar_parse(text):
-    # over F_p, from_text parses straight to ints, without a Scalar per entry
-    parsed = Poly.from_text(F10007, ["1", text, text])
-    assert parsed == Poly(F10007, [Scalar(F10007, 1), Scalar.parse(F10007, text), Scalar.parse(F10007, text)])
-    assert Poly.from_text(F10007, [text]) == Poly(F10007, [Scalar.parse(F10007, text)])
+    # over F_p, the loader's conversion parses straight to ints, without a Scalar per entry
+    parsed = parse_poly(F10007, ["1", text, text])
+    assert parsed == Poly(F10007, [Scalar(F10007, 1), parse_scalar(F10007, text), parse_scalar(F10007, text)])
+    assert parse_poly(F10007, [text]) == Poly(F10007, [parse_scalar(F10007, text)])
 
 
 @pytest.mark.parametrize(
@@ -155,9 +155,9 @@ def test_fp_from_text_matches_scalar_parse(text):
 def test_fp_from_text_rejects_junk_as_scalar_parse_does(text):
     # the same ValueError text, so instance-file errors stay byte-identical
     with pytest.raises(ValueError) as scalar_error:
-        Scalar.parse(F10007, text)
+        parse_scalar(F10007, text)
     with pytest.raises(ValueError) as poly_error:
-        Poly.from_text(F10007, ["1", text])
+        parse_poly(F10007, ["1", text])
     assert str(poly_error.value) == str(scalar_error.value)
     assert str(scalar_error.value) == f"cannot parse {text.strip()!r} as an element of F_10007"
 
@@ -166,9 +166,9 @@ def test_fp_from_text_past_the_digit_cap_fails_as_scalar_parse_does(default_digi
     # the text has the form of an integer, but int() refuses its 5000 digits
     text = "9" * 5000
     with pytest.raises(ValueError) as scalar_error:
-        Scalar.parse(F10007, text)
+        parse_scalar(F10007, text)
     with pytest.raises(ValueError) as poly_error:
-        Poly.from_text(F10007, [text])
+        parse_poly(F10007, [text])
     assert str(poly_error.value) == str(scalar_error.value) == f"cannot parse {text!r} as an element of F_10007"
 
 
@@ -324,37 +324,56 @@ def test_prime_divrem_long_quotients(p):
 FP_ONE_PASS_PRIMES = [2, 3, 5, 10007, 1000003, 2**61 - 1]
 
 
-@pytest.mark.parametrize("p", FP_ONE_PASS_PRIMES)
+@pytest.mark.parametrize("p", [*FP_ONE_PASS_PRIMES, None])
 def test_prime_add_scale_neg_match_make(p):
-    # F_p sums, scalings and negations reduce in one pass and skip `_make`;
-    # each must be `_make` of the plain integer result, in stored form,
-    # whether the operands cancel to 0, cancel at the top or differ in length
-    desc, rng = prime_field(p), random.Random(p)
+    # sums, differences, negations, scalings and shifts all go through
+    # `_plus_scaled_shift`; each result must be the polynomial of the plain
+    # entry-by-entry result, which Poly() canonicalizes one Scalar at a time,
+    # and in stored form, whether the operands cancel to 0, cancel at the top
+    # or differ in length.  p = None is Q, with fractional entries over
+    # unequal denominators.  Over F_p the operands are also taken image-only,
+    # and the payloads include p - 1, the largest the image width admits
+    desc = Q if p is None else prime_field(p)
+    rng = random.Random(p)
+
+    def entry():
+        if p is None:
+            return rng.choice([0, 1, -1, rng.randint(-9, 9), Fraction(rng.randint(-20, 20), rng.randint(1, 12))])
+        return rng.choice([0, 1, p - 1, rng.randrange(p)])
 
     def draw(length):
-        return [rng.choice([0, 1, p - 1, rng.randrange(p)]) for _ in range(length - 1)] + [rng.randrange(1, p)] if length else []
+        c = [entry() for _ in range(length)]
+        while c and not c[-1]:
+            c[-1] = entry()
+        return c
+
+    def forms(c):
+        vec = Poly(desc, c)
+        return (vec,) if p is None else (vec, image_only(desc, vec._c))
+
+    def plus(a, u, k, b):
+        return Poly(desc, [x + u * y for x, y in zip_longest(a, [0] * k + b, fillvalue=0)])
 
     pairs = []
     for la, lb in ((0, 0), (0, 3), (1, 1), (3, 3), (3, 40), (40, 3), (40, 40), (300, 2)):
         a, b = draw(la), draw(lb)
         pairs.append((a, b))
         if la:
-            pairs.append((a, [-v % p for v in a]))  # a + (-a) = 0
-            top = [-v % p for v in a[-2:]]  # cancels the top one or two entries
+            pairs.append((a, [-v for v in a]))  # a + (-a) = 0
+            top = [-v for v in a[-2:]]  # cancels the top one or two entries
             pairs.append((a, draw(la - len(top)) + top))
+    payloads = (0, 1, -1, Fraction(rng.randint(-20, 20), rng.randint(1, 12))) if p is None else (0, 1, p - 1, rng.randrange(p))
     for a, b in pairs:
-        f, g = Poly._raw(desc, a), Poly._raw(desc, b)
-        total = f + g
-        assert total == Poly._make(desc, [x + y for x, y in zip_longest(a, b, fillvalue=0)]), (a, b)
-        assert_stored_form(total)
-        negated = -f
-        assert negated == Poly._make(desc, [-v for v in a])
-        assert_stored_form(negated)
-        assert f - g == Poly._make(desc, [x - y for x, y in zip_longest(a, b, fillvalue=0)])
-        for u in (0, 1, p - 1, rng.randrange(p), rng.randrange(p)):
-            scaled = f.scale(Scalar(desc, u))
-            assert scaled == Poly._make(desc, [v * u for v in a]), (a, u)
-            assert_stored_form(scaled)
+        for f in forms(a):
+            results = [(-f, plus([], -1, 0, a))]
+            results += [(f.shift(k), plus([], 1, k, a)) for k in (0, 1, 3)]
+            results += [(f.scale(Scalar(desc, u)), plus([], u, 0, a)) for u in payloads]
+            for g in forms(b):
+                results += [(f + g, plus(a, 1, 0, b)), (f - g, plus(a, -1, 0, b))]
+                results += [(f._plus_scaled_shift(g, u, k), plus(a, u, k, b)) for u in payloads for k in (0, 1, 3)]
+            for got, want in results:
+                assert got == want, (a, b)
+                assert_stored_form(got)
 
 
 @pytest.mark.parametrize("desc", [Q, prime_field(2), F97, prime_field(2**61 - 1)], ids=str)
@@ -417,7 +436,7 @@ def test_no_operation_leaves_trailing_zeros(args):
         (f * g, g * f),
         (f.shift(k), f * Poly(desc, [0] * k + [1])),
         (Poly(desc, f.coeffs), f),
-        (Poly.from_text(desc, f.to_text()), f),
+        (parse_poly(desc, f.to_text()), f),
         (f.scale(Scalar(desc, 2)), f + f),
         (f.primitive()[1].scale(f.primitive()[0]), f),
     ]
@@ -601,11 +620,17 @@ def test_image_backed_and_vector_backed_polys_are_interchangeable(p, data):
             (x + y, x_vec + y_vec),
             (x - y, x_vec - y_vec),
             (x * y, x_vec * y_vec),
-            (x._plus_scaled_shift(y, s, shift), x_vec._plus_scaled_shift(y_vec, s, shift)),
+            (x._plus_scaled_shift(y, s.value, shift), x_vec._plus_scaled_shift(y_vec, s.value, shift)),
         ):
             assert got == want
             assert_stored_form(got)
     assert (img() - img()).is_zero()
+    # the unary operations on an image-only operand stay on images
+    for got, want in ((-img(), -vec), (img().scale(s), vec.scale(s)), (img().shift(shift), vec.shift(shift))):
+        assert got == want
+        assert_stored_form(got)
+    for got in (-img(), img().scale(s), img().shift(shift)):
+        assert got._img is not None or not got
 
 
 def test_image_only_poly_unpacks_once_and_names_nothing_else():

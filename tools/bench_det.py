@@ -1,7 +1,6 @@
-"""Time one route on seed-fixed M2-shape pairs, over F_p or Q.
+"""Time one route on seed-fixed pairs, over F_p or Q, on this tree and a parent.
 
-    python3 tools/bench_det.py [--field fp|q] [--route sylvester|euclid|generate] [--out FILE]
-    python3 tools/bench_det.py --route formula --parent DIR [--out FILE]
+    python3 tools/bench_det.py [--field fp|q] [--route sylvester|euclid|generate|formula] [--parent DIR] [--out FILE]
 
 It draws the benchmark's M2-shape instance (m = 2, deg r_n = 2^n - 1; see
 bench/instances.py) from seed 1 and times one route at each n.  Both fields
@@ -29,39 +28,39 @@ The generate route also times the `deep` workload's M1_D2 instance of seed 1
 n = 100, 200, 300; over Q the same draw is read over Q.  Every row names its
 shape, M2 or M1_D2.
 
-Each row keeps the three runs, their median and the value, so row sets taken
-on two commits can be checked for equal values.  A Sylvester value is kept
-as it is (over Q as its text).  A Euclid value runs to 10^5 digits over Q,
-so it is kept as its bit size and the sha256 of its hex text "num/den"; a
-generate value, r_n, as its degree and the sha256 of its coefficient texts
-joined by commas, ascending.  The default output file is
-BENCH_det_<field>.json for sylvester and BENCH_<route>_<field>.json
-otherwise.
-
 The formula route times `recres resultant --method formula` through
-`recres.cli.main`, the instance load included, in a fresh interpreter per
-run, on two source trees: this one and the one given by --parent (a clone
-of the commit to compare with).  Its rows are the M2 shape over F_1000003
-at n = 10^3, 10^4 and 10^5, each from a file with steps to its n, and the
-`deep` workload's two F_p instances of seed 1 (M1 and M1_D2) at their
-ladder, n = 100, 200, 300.  Each row runs the two trees alternately, so
-that the host's drift falls on both alike, and keeps the printed value.  A
-tree whose median at one n passes FORMULA_BUDGET seconds skips the larger
-n of that shape.  It appends one row set per tree to BENCH_formula_fp.json:
+`recres.cli.main`, the instance load included, over F_1000003 only.  Its
+rows are the M2 shape at n = 10^3, 10^4 and 10^5, each from a file with
+steps to its n, and the `deep` workload's two F_p instances of seed 1 (M1
+and M1_D2) at their ladder, n = 100, 200, 300.
 
-    python3 tools/bench_det.py --route formula --parent DIR
+Every run is one fresh interpreter on one tree, which reads the instance
+from a file, builds what the route takes (r_0..r_n for the two resultant
+routes) and times the route call alone.  With --parent DIR (a clone of the
+commit to compare with), each row runs the two trees alternately, REPEATS
+times each, so that the host's drift falls on both alike; without it only
+this tree is timed.  A tree whose median at one n passes BUDGET seconds
+skips the larger n of that shape.
 
-Run it from the root of a recres source tree; it imports the package from
-the `src/` next to `tools/`.  The row set, with the Python version, the core
-count and the git SHA of the tree (and whether `src/` differs from it), is
-appended to the runs of the output file, which is created if missing.
+Each row keeps its runs, their median and the value, so the row sets of the
+two trees can be checked for equal values.  A Sylvester value is kept as it
+is (over Q as its text), and a formula value as the command printed it.  A
+Euclid value runs to 10^5 digits over Q, so it is kept as its bit size and
+the sha256 of its hex text "num/den"; a generate value, r_n, as its degree
+and the sha256 of its coefficient texts joined by commas, ascending.
+
+Run it from the root of a recres source tree; every tree is imported from
+its own `src/`.  One row set per tree, with the tree's name (parent or
+change), the Python version, the core count and the tree's git SHA (and
+whether its `src/` differs from it), is appended to the runs of the output
+file, which is created if missing: BENCH_det_<field>.json for sylvester and
+BENCH_<route>_<field>.json otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import os
 import platform
@@ -69,16 +68,12 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "bench"))
 
 import instances  # noqa: E402
-from recres import generate, resultant_euclid, resultant_sylvester  # noqa: E402
-from recres.cli import spec_from_json  # noqa: E402
 
 SEED = 1
 NAME = "bench-det-fp"  # the draw depends on it; Q keeps it so both fields time the same pairs
@@ -90,21 +85,51 @@ REPEATS = 3
 FORMULA_NS = (1000, 10000, 100000)  # the M2 rows of the formula route
 # at m = 2 a closed form with exact exponents is quadratic in n: 7-9 s at
 # n = 10^4 makes 12-15 minutes at 10^5
-FORMULA_BUDGET = 5.0
-FORMULA_TIMEOUT = 1800
+BUDGET = 5.0
+TIMEOUT = 1800
 
-# One run of the formula route, in a fresh interpreter: argv is the src/
-# directory of a tree, the instance file and n.
-_FORMULA_RUN = """
-import contextlib, io, json, sys, time
+# One run, in a fresh interpreter: argv is the src/ directory of a tree, the
+# route, the instance file and n.  It prints the seconds of the route call
+# and the row fields of its value.
+_RUN = """
+import contextlib, hashlib, io, json, sys, time
 sys.path.insert(0, sys.argv[1])
-from recres.cli import main
-out = io.StringIO()
-with contextlib.redirect_stdout(out):
-    start = time.perf_counter()
-    code = main(["resultant", sys.argv[2], "--n", sys.argv[3], "--method", "formula"])
-    seconds = time.perf_counter() - start
-print(json.dumps({"code": code, "seconds": seconds, "output": out.getvalue()}))
+from recres import generate, resultant_euclid, resultant_sylvester
+from recres.cli import main, spec_from_json
+route, path, n = sys.argv[2], sys.argv[3], int(sys.argv[4])
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+if route == "formula":
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        start = time.perf_counter()
+        code = main(["resultant", path, "--n", str(n), "--method", "formula"])
+        seconds = time.perf_counter() - start
+    if code:
+        sys.exit(f"resultant --n {n} exited {code}")
+    fields = {"value": out.getvalue().strip().removeprefix("formula: ")}
+else:
+    with open(path, encoding="utf-8") as f:
+        spec = spec_from_json(json.load(f))
+    if route == "generate":
+        start = time.perf_counter()
+        value = generate(spec, n)[n]
+        seconds = time.perf_counter() - start
+        fields = {"degree": value.degree(), "value_sha256": digest(",".join(value.to_text()))}
+    else:
+        seq = generate(spec, n)
+        call = resultant_sylvester if route == "sylvester" else resultant_euclid
+        start = time.perf_counter()
+        value = call(seq[n], seq[n - 1]).value
+        seconds = time.perf_counter() - start
+        fields = {"dimension": seq[n].degree() + seq[n - 1].degree()}
+        if route == "sylvester":
+            fields["value"] = value if isinstance(value, int) else str(value)
+        else:
+            # Euclid values reach 10^5 digits over Q: keep their size and a digest
+            num, den = value.numerator, value.denominator
+            fields.update(value_bits=num.bit_length() + den.bit_length(), value_sha256=digest(f"{num:x}/{den:x}"))
+print(json.dumps({"seconds": seconds, "fields": fields}))
 """
 
 
@@ -130,10 +155,6 @@ def _run_record(root: Path, prime: int | None, route: str, rows: list[dict]) -> 
     }
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def deep_instance(shape: instances.Shape, prime: int | None) -> tuple[instances.Instance, tuple[int, ...]]:
     """The `deep` workload's F_p instance of seed SEED of the given shape, read
     over the given field, and the n of its ladder."""
@@ -141,85 +162,58 @@ def deep_instance(shape: instances.Shape, prime: int | None) -> tuple[instances.
     return dataclasses.replace(ops[0].instance, prime=prime), tuple(op.n for op in ops)
 
 
-def measure(route: str, shape: str, inst: instances.Instance, ns: tuple[int, ...]) -> list[dict]:
-    spec = spec_from_json(instances.instance_doc(inst, SEED))
-    seq = generate(spec, max(ns))
-    call = {
-        "sylvester": lambda n: resultant_sylvester(seq[n], seq[n - 1]).value,
-        "euclid": lambda n: resultant_euclid(seq[n], seq[n - 1]).value,
-        "generate": lambda n: generate(spec, n)[n],
-    }[route]
-    rows = []
-    for n in ns:
-        runs, value = [], None
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            value = call(n)
-            runs.append(time.perf_counter() - start)
-        row = {"shape": shape, "n": n}
-        if route == "generate":
-            row["degree"] = value.degree()
-        else:
-            row["dimension"] = seq[n].degree() + seq[n - 1].degree()
-        row.update(seconds=statistics.median(runs), runs=runs)
-        if route == "sylvester":
-            row["value"] = value if isinstance(value, int) else str(value)
-        elif route == "euclid":
-            # Euclid values reach 10^5 digits over Q: keep their size and a digest
-            num, den = value.numerator, value.denominator
-            row["value_bits"] = num.bit_length() + den.bit_length()
-            row["value_sha256"] = _digest(f"{num:x}/{den:x}")
-        else:
-            row["value_sha256"] = _digest(",".join(value.to_text()))
-        rows.append(row)
-        size = f"deg {row['degree']}" if route == "generate" else f"dim={row['dimension']}"
-        print(f"{shape} n={n} {size} median {row['seconds']:.3f} s", file=sys.stderr)
+def run(tree: Path, route: str, path: Path, n: int) -> tuple[float, dict]:
+    """The seconds of one route call on one tree, and the row fields of its value."""
+    argv = [sys.executable, "-c", _RUN, str(tree / "src"), route, str(path), str(n)]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=TIMEOUT, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    return result["seconds"], result["fields"]
+
+
+def cases(route: str, field: str, prime: int | None) -> list[tuple[str, instances.Instance, int]]:
+    """The rows of a route as (shape, instance, n)."""
+    if route == "formula":
+        # each M2 row reads a file with steps to its own n
+        rows = [("M2", instances.Instance(f"bench-formula-fp-{n}", prime, instances.M2, n), n) for n in FORMULA_NS]
+        shapes = (("M1", instances.M1), ("M1_D2", instances.M1_D2))
+    else:
+        ns = (SYLVESTER_NS if route == "sylvester" else LONG_NS)[field]
+        inst = instances.Instance(NAME, prime, instances.M2, max(N_LAST, *ns))
+        rows = [("M2", inst, n) for n in ns]
+        shapes = (("M1_D2", instances.M1_D2),) if route == "generate" else ()
+    for shape_name, shape in shapes:
+        inst, ns = deep_instance(shape, prime)
+        rows += [(shape_name, inst, n) for n in ns]
     return rows
 
 
-def run_formula(tree: Path, path: Path, n: int) -> tuple[float, str]:
-    """The time of one formula command on one tree, and the value it printed."""
-    argv = [sys.executable, "-c", _FORMULA_RUN, str(tree / "src"), str(path), str(n)]
-    proc = subprocess.run(argv, capture_output=True, text=True, timeout=FORMULA_TIMEOUT, check=True)
-    result = json.loads(proc.stdout.splitlines()[-1])
-    if result["code"] != 0:
-        raise RuntimeError(f"{tree}: resultant --n {n} exited {result['code']}")
-    return result["seconds"], result["output"].strip().removeprefix("formula: ")
-
-
-def measure_formula(trees: dict[str, Path]) -> dict[str, list[dict]]:
-    """The formula route's rows for each tree, the trees run alternately."""
-    # each M2 row reads a file with steps to its own n; the `deep` rows read
-    # the workload's files, with steps to 300
-    cases = [("M2", instances.Instance(f"bench-formula-fp-{n}", instances.PRIME, instances.M2, n), n) for n in FORMULA_NS]
-    for shape_name, shape in (("M1", instances.M1), ("M1_D2", instances.M1_D2)):
-        inst, ns = deep_instance(shape, instances.PRIME)
-        cases += [(shape_name, inst, n) for n in ns]
-    rows: dict[str, list[dict]] = {name: [] for name in trees}
+def measure(route: str, trees: dict[str, Path], rows: list[tuple[str, instances.Instance, int]]) -> dict[str, list[dict]]:
+    """Each tree's rows, the trees run alternately."""
+    out: dict[str, list[dict]] = {name: [] for name in trees}
     over: set[tuple[str, str]] = set()  # (tree, shape) whose median passed the budget
     with tempfile.TemporaryDirectory() as tmp:
-        for shape, inst, n in cases:
+        for shape, inst, n in rows:
             path = Path(tmp) / f"{inst.name}.json"
             if not path.exists():
                 path.write_text(json.dumps(instances.instance_doc(inst, SEED)), encoding="utf-8")
             runs: dict[str, list[float]] = {name: [] for name in trees}
-            values: dict[str, str] = {}
+            fields: dict[str, dict] = {}
             for repeat in range(REPEATS):
                 for name in list(trees) if repeat % 2 == 0 else list(trees)[::-1]:
                     if (name, shape) not in over:
-                        seconds, values[name] = run_formula(trees[name], path, n)
+                        seconds, fields[name] = run(trees[name], route, path, n)
                         runs[name].append(seconds)
             for name in trees:
                 row: dict = {"shape": shape, "n": n}
                 if (name, shape) in over:
-                    row["skipped"] = f"its median at a smaller n passed {FORMULA_BUDGET} s"
+                    row["skipped"] = f"its median at a smaller n passed {BUDGET} s"
                 else:
-                    row.update(seconds=statistics.median(runs[name]), runs=runs[name], value=values[name])
-                    if row["seconds"] > FORMULA_BUDGET:
+                    row.update(fields[name], seconds=statistics.median(runs[name]), runs=runs[name])
+                    if row["seconds"] > BUDGET:
                         over.add((name, shape))
                     print(f"{name} {shape} n={n} median {row['seconds']:.3f} s", file=sys.stderr)
-                rows[name].append(row)
-    return rows
+                out[name].append(row)
+    return out
 
 
 def main() -> int:
@@ -227,22 +221,16 @@ def main() -> int:
     parser.add_argument("--field", choices=SYLVESTER_NS, default="fp")
     parser.add_argument("--route", choices=ROUTES, default="sylvester")
     parser.add_argument("--out", type=Path, help="default BENCH_det_<field>.json or BENCH_<route>_<field>.json")
-    parser.add_argument("--parent", type=Path, help="the source tree to compare with (formula route only)")
+    parser.add_argument("--parent", type=Path, help="the source tree to compare with, run alternately with this one")
     args = parser.parse_args()
-    if (args.route == "formula") != (args.parent is not None) or (args.route == "formula" and args.field != "fp"):
-        parser.error("--parent goes with --route formula, which runs over F_p only")
+    if args.route == "formula" and args.field != "fp":
+        parser.error("--route formula runs over F_p only")
     prime = instances.PRIME if args.field == "fp" else None
     stem = "det" if args.route == "sylvester" else args.route
     out = args.out or ROOT / f"BENCH_{stem}_{args.field}.json"
-    if args.route == "formula":
-        trees = {"parent": args.parent.resolve(), "change": ROOT}
-        runs = [dict(_run_record(trees[name], prime, args.route, rows), tree=name) for name, rows in measure_formula(trees).items()]
-    else:
-        ns = (SYLVESTER_NS if args.route == "sylvester" else LONG_NS)[args.field]
-        rows = measure(args.route, "M2", instances.Instance(NAME, prime, instances.M2, max(N_LAST, *ns)), ns)
-        if args.route == "generate":
-            rows += measure(args.route, "M1_D2", *deep_instance(instances.M1_D2, prime))
-        runs = [_run_record(ROOT, prime, args.route, rows)]
+    trees = {"change": ROOT} if args.parent is None else {"parent": args.parent.resolve(), "change": ROOT}
+    rows = measure(args.route, trees, cases(args.route, args.field, prime))
+    runs = [dict(_run_record(trees[name], prime, args.route, rows[name]), tree=name) for name in trees]
     doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {"runs": []}
     doc["runs"] += runs
     out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")

@@ -40,16 +40,26 @@ such row on a tie.
 `resultant_euclid` instead runs a remainder sequence:
 Res(f, g) = (-1)^{deg f * deg g} * lc(g)^{deg f - deg r} * Res(g, r)
 with r the remainder of f mod g, bottoming out at the constant rule
-Res(f, c) = c^{deg f}.  Over Q each remainder is split into its content
-c and primitive part P (`Poly.primitive`) and the sequence carries P,
-using Res(g, c P) = c^{deg g} Res(g, P), so the remainders stay integer
-vectors instead of growing ever larger denominators.  The step factors
-are multiplied in a balanced pairwise tree: a reduced Fraction product runs
-gcds on both operands, so folding each factor into a growing result redoes
-that work on the result at every step.  The tree only reorders exact
-products, so the value is the same.  Over F_p the sequence stays packed,
-starting from the images of f and g (see `poly`): a step whose quotient has
-degree 1 reads the quotient off the top two slots of f and g, forms the
+Res(f, c) = c^{deg f}.  Over Q the sequence runs on the stored integer
+numerators F and G of f and g: Res is homogeneous of degree deg g in the
+coefficients of f and of degree deg f in those of g, so Res(f, g) =
+Res(F, G) / lam with lam = den(f)^{deg g} den(g)^{deg f}, and Res(F, G) is
+an integer.  Each remainder is split into its content C_j / D_j, reduced,
+and primitive part P (`Poly.primitive`) and the sequence carries P, using
+Res(g, c P) = c^{deg g} Res(g, P) with m_j = deg g, so the remainders stay
+integer vectors instead of growing ever larger denominators.  The step
+factors are kept as integer bases with exponents, never as Fractions: the
+powers of lc(g) and C_j^{m_j} over D_j^{m_j}.  The denominator of one
+content comes back as most of the numerator of the next, so t_j =
+gcd(D_j, C_{j+1}), a gcd of two bases of at most a few hundred bits, is
+divided out of both and kept in the denominator as t_j^{m_j - m_{j+1}}.
+The numerator and the denominator are then each one balanced product tree
+with no gcds, and one exact division gives Res(F, G); a remainder there
+would be a bug and raises.  A reduced Fraction product would instead run
+gcds on operands of up to 10^5 digits at every step.  Over F_p the
+sequence stays packed, starting from the images of f and g (see `poly`):
+a step whose quotient has degree 1 reads the quotient off the top two
+slots of f and g, forms the
 remainder as one multiply-add of packed ints and reduces all its slots at
 once with the Barrett step of `poly._reduce_mod_p`; only longer quotients
 go through `Poly.divrem`, and the step factors are multiplied into one
@@ -322,20 +332,46 @@ def resultant_euclid(f: Poly, g: Poly) -> Scalar:
     if desc.is_prime_field:
         value = _euclid_prime(f, g)
         return Scalar(desc, -value if sign % 2 else value)
-    factors = []
+    # Res(f, g) = Res(F, G) / lam for the stored numerators F and G, which
+    # have the degrees of f and g, since Res is homogeneous of degree deg g
+    # in the coefficients of f and of degree deg f in those of g
+    lam = f._den ** g.degree() * g._den ** f.degree()
+    f, g = Poly._raw(desc, f._c), Poly._raw(desc, g._c)
+    num, contents = [], []  # powers of lc(g); [C_j, D_j, m_j] of each content C_j / D_j
     while True:
         n, m = f.degree(), g.degree()
         if m == 0:
-            factors.append(g.coeff_at(0) ** n)
+            num.append(g._c[0] ** n)
             break
         _, r = f.divrem(g)
         if r.is_zero():
             return Scalar(desc, 0)
         sign += n * m
         c, r = r.primitive()
-        factors.append(g.leading_coeff() ** (n - r.degree()) * c**m)
+        num.append(g._c[-1] ** (n - r.degree()))
+        contents.append([c.value.numerator, c.value.denominator, m])
         f, g = g, r
-    while len(factors) > 1:  # a balanced product tree
-        pairs = [factors[i] * factors[i + 1] for i in range(0, len(factors) - 1, 2)]
-        factors = pairs + factors[2 * len(pairs) :]
-    return -factors[0] if sign % 2 else factors[0]
+    # with t = gcd(D_j, C_{j+1}) divided out of both bases, C_{j+1}^{m_{j+1}}
+    # / D_j^{m_j} keeps t^{m_j - m_{j+1}} in its denominator, m_j > m_{j+1}
+    den = []
+    for left, right in zip(contents, contents[1:]):
+        t = math.gcd(left[1], right[0])
+        if t != 1:
+            left[1] //= t
+            right[0] //= t
+            den.append(t ** (left[2] - right[2]))
+    num += [C**m for C, _, m in contents]
+    den += [D**m for _, D, m in contents]
+    value, rem = divmod(_product(num), _product(den))
+    if rem:
+        raise ArithmeticError("the Q Euclid step factors do not divide to an integer resultant")
+    return Scalar._of(desc, Fraction(-value if sign % 2 else value, lam))
+
+
+def _product(values: list[int]) -> int:
+    """The product of ints by a balanced tree, so that CPython's Karatsuba
+    multiplies operands of like size."""
+    while len(values) > 1:
+        pairs = [values[i] * values[i + 1] for i in range(0, len(values) - 1, 2)]
+        values = pairs + values[2 * len(pairs) :]
+    return values[0] if values else 1

@@ -134,9 +134,10 @@ def schur_formula(a: list[Scalar], c: list[Scalar], n: int) -> Scalar:
 
 
 def euclid_by_divrem(f: Poly, g: Poly) -> Scalar:
-    """Res(f, g) over F_p by the remainder sequence with one `Poly.divrem`
-    per step, an oracle independent of the packed steps of
-    `resultant_euclid`:
+    """Res(f, g) by the remainder sequence with one `Poly.divrem` per step
+    and the step factors folded into one running Scalar product, over either
+    field: an oracle independent of the packed F_p steps and of the
+    telescoped Q step factors of `resultant_euclid`:
 
         Res(f, g) = (-1)^{deg f deg g} lc(g)^{deg f - deg r} Res(g, r),
         Res(f, c) = c^{deg f},

@@ -11,6 +11,7 @@ summary line so a full run reads as a checklist:
 6. resultant algebra property suite, 500 random pairs per field
 7. the alternate leading-term branch (i_d = i_{d-1}, k = l) is covered and passes
 8. fuzz runs are byte-for-byte deterministic
+9. the identity on fuzzed instances with d and m up to 4, over both fields
 """
 
 import json
@@ -49,6 +50,15 @@ RATIONAL_FUZZ_ARGS = [
     "--d-max", "2", "--m-max", "2", "--coeff-bound", "3",
     "--field", "rational", "--n-max", "d+2",
 ]
+
+# d = 3, 4 and m = 3, 4 are drawn here and nowhere else in the suite
+WIDE_FUZZ_ARGS = {
+    "F_10007": ["fuzz", "--seed", "5", "--count", "150", "--d-max", "4", "--m-max", "4", "--field", "10007"],
+    "Q": [
+        "fuzz", "--seed", "5", "--count", "60",
+        "--d-max", "4", "--m-max", "3", "--field", "rational", "--n-max", "d+2",
+    ],
+}
 
 
 def run_fuzz(args, out_dir):
@@ -237,3 +247,15 @@ def test_8_determinism(prime_fuzz, prime_fuzz_repeat):
     for name in names_a:
         assert (Path(dir_a) / name).read_bytes() == (Path(dir_b) / name).read_bytes(), name
     print(f"\n[acceptance 8] determinism: {len(names_a)} files byte-identical across runs PASS")
+
+
+@pytest.mark.parametrize("field", WIDE_FUZZ_ARGS)
+def test_9_identity_with_d_and_m_up_to_4(field, tmp_path):
+    args = WIDE_FUZZ_ARGS[field]
+    code, report, elapsed = run_fuzz(args, tmp_path)
+    assert code == 0
+    count, d_max, m_max = (int(args[args.index(flag) + 1]) for flag in ("--count", "--d-max", "--m-max"))
+    assert_identity_report(report, count, min_extra=2 if field == "Q" else 3)
+    instances = report["instances"]
+    assert max(e["d"] for e in instances) == d_max and max(e["m"] for e in instances) == m_max
+    print(f"\n[acceptance 9] closed form == Sylvester == Euclid over {field}, d <= {d_max}, m <= {m_max}: {count} instances ({elapsed:.1f}s) PASS")

@@ -1,5 +1,4 @@
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -15,7 +14,7 @@ from recres import (
     prime_field,
     rationals,
 )
-from recres.field import _LONG_TEXT, _TEXT_BLOCK, _parse_texts
+from recres.field import _DECIMAL_CUTOFF, _LONG_TEXT, _TEXT_BLOCK, _int_text, _parse_texts
 from helpers import parse_scalar
 
 Q = rationals()
@@ -200,17 +199,65 @@ def test_long_texts_reduce_as_int_does(p):
             assert parse_scalar(desc, text).value == int(text) % p
 
 
-def test_long_texts_past_the_digit_cap_when_it_is_lifted():
-    saved = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if saved is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        text = "-" + "9876543210" * 3000
-        for p in (3, 1000003, 2**61 - 1):
-            assert _parse_texts(prime_field(p), [text]) == [int(text) % p]
-    finally:
-        if saved is not None:
-            sys.set_int_max_str_digits(saved)
+def test_long_texts_past_the_digit_cap_when_it_is_lifted(lifted_digit_cap):
+    text = "-" + "9876543210" * 3000
+    for p in (3, 1000003, 2**61 - 1):
+        assert _parse_texts(prime_field(p), [text]) == [int(text) % p]
+
+
+def odd_bits(rng, bits):
+    """A random int of exactly the given bit length."""
+    return rng.getrandbits(bits - 1) | 1 << (bits - 1)
+
+
+def test_int_text_is_str_around_the_cutoff(lifted_digit_cap):
+    rng = random.Random(41)
+    for bits in (_DECIMAL_CUTOFF - 1, _DECIMAL_CUTOFF, _DECIMAL_CUTOFF + 1, 2 * _DECIMAL_CUTOFF + 3):
+        for _ in range(3):
+            n = odd_bits(rng, bits)
+            assert _int_text(n) == str(n) and _int_text(-n) == str(-n), bits
+    # 2^k and 2^k - 1 split into a zero or all-ones half at every level
+    for n in (1 << 3 * _DECIMAL_CUTOFF, (1 << 3 * _DECIMAL_CUTOFF) - 1, 10 ** 20000, 10 ** 20000 - 1):
+        assert _int_text(n) == str(n)
+
+
+def test_int_text_of_a_megabit_int(lifted_digit_cap):
+    # str() of a 1 Mbit int takes 1.5 s on Python 3.11, so the expected
+    # text comes first and the int is built from its 1000-digit blocks
+    rng = random.Random(42)
+    blocks = [f"{rng.randrange(10**999, 10**1000)}"] + [f"{rng.randrange(10**1000):01000d}" for _ in range(301)]
+    blocks[150] = "0" * 1000  # a run of zeros inside a lower half
+
+    def value(blocks):
+        if len(blocks) == 1:
+            return int(blocks[0])
+        half = len(blocks) // 2
+        return value(blocks[:half]) * 10 ** (1000 * (len(blocks) - half)) + value(blocks[half:])
+
+    n, text = value(blocks), "".join(blocks)
+    assert n.bit_length() > 1_000_000
+    assert _int_text(n) == text and _int_text(-n) == "-" + text
+
+
+def test_q_to_text_of_a_fraction_past_the_cutoff(lifted_digit_cap):
+    rng = random.Random(43)
+    num, den = odd_bits(rng, _DECIMAL_CUTOFF + 5000), odd_bits(rng, _DECIMAL_CUTOFF + 900)
+    value = Fraction(-num, den)
+    assert Scalar(Q, value).to_text() == f"{value.numerator}/{value.denominator}" == str(value)
+    assert Scalar(Q, num).to_text() == str(num)
+
+
+@pytest.mark.parametrize("bits", [20_000, _DECIMAL_CUTOFF + 1])
+def test_q_to_text_past_the_digit_cap_raises_as_str_does(default_digit_cap, bits):
+    # past 4300 digits (14 284 bits) str() refuses while the cap holds, below
+    # the cutoff and above it alike
+    n = odd_bits(random.Random(bits), bits)
+    with pytest.raises(ValueError) as expected:
+        str(n)
+    for value in (Fraction(n), Fraction(1, n), Fraction(-n, 3)):
+        with pytest.raises(ValueError) as raised:
+            Scalar(Q, value).to_text()
+        assert str(raised.value) == str(expected.value)
 
 
 @pytest.mark.parametrize(

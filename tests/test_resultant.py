@@ -466,10 +466,36 @@ def test_euclid_agrees_with_sylvester_on_non_integral_rationals():
     assert resultant_euclid(f, g) == resultant_sylvester(f, g) == Scalar(Q, Fraction(43, 450))
 
 
+def content_chain(f, g):
+    """(C_j, D_j, m_j) for each step of the Q remainder sequence on the
+    integer numerators of f and g, deg f >= deg g: C_j / D_j is the content
+    of the j-th remainder and m_j the degree of its divisor; None if a
+    remainder is 0."""
+    f, g = Poly(Q, f._c), Poly(Q, g._c)
+    chain = []
+    while g.degree() > 0:
+        r = f.divrem(g)[1]
+        if r.is_zero():
+            return None
+        c, r = r.primitive()
+        chain.append((c.value.numerator, c.value.denominator, g.degree()))
+        f, g = g, r
+    return chain
+
+
+def neighbour_gcds(chain):
+    """(gcd(D_j, C_{j+1}), m_j - m_{j+1}) for each neighbouring pair."""
+    return [(math.gcd(left[1], right[0]), left[2] - right[2]) for left, right in zip(chain, chain[1:])]
+
+
 def test_euclid_product_tree_over_q():
-    # A pair of degrees (n, n - 1) whose remainders each drop one degree
-    # gives n factors (n - 1 steps and the constant rule), so n = 1..9 runs
-    # the product tree on lists of length 1, 2, odd and even.
+    # The Q route keeps each step factor as integer bases, divides each
+    # gcd(D_j, C_{j+1}) out of its neighbouring contents, multiplies the
+    # numerator and the denominator in one balanced product tree each and
+    # divides them once.  A pair of degrees (n, n - 1) whose remainders each
+    # drop one degree gives n - 1 contents and n numerator powers, so
+    # n = 1..9 runs the telescoping on chains of 0..8 contents and the trees
+    # on lists of length 1, 2, odd and even.
     rng = random.Random(25)
     for n in range(1, 10):
         for f, g in (
@@ -480,8 +506,62 @@ def test_euclid_product_tree_over_q():
             while b.degree() > 0:
                 a, b = b, a.divrem(b)[1]
                 assert b.degree() == a.degree() - 1
-            assert resultant_euclid(f, g) == resultant_sylvester(f, g), n
-            assert resultant_euclid(g, f) == resultant_sylvester(g, f), n
+            assert resultant_euclid(f, g) == resultant_sylvester(f, g) == euclid_by_divrem(f, g), n
+            assert resultant_euclid(g, f) == resultant_sylvester(g, f) == euclid_by_divrem(g, f), n
+
+
+def test_q_euclid_against_divrem_oracle():
+    rng = random.Random(26)
+
+    def even(poly):
+        # poly(x^2): every remainder drops two degrees, so each telescoped
+        # gcd carries exponent m_j - m_{j+1} = 2
+        return Poly(Q, [v for c in poly.coeffs for v in (c.value, 0)][:-1])
+
+    def negated_lead(poly):
+        return Poly(Q, [c.value for c in poly.coeffs[:-1]] + [-abs(poly.leading_coeff().value)])
+
+    pairs = []
+    for _ in range(12):
+        deg_f, deg_g = rng.randint(1, 7), rng.randint(1, 7)
+        pairs.append((rand_poly(rng, Q, deg_f), rand_poly(rng, Q, deg_g)))  # deg f < deg g too
+        pairs.append((rand_fraction_poly(rng, deg_f), rand_fraction_poly(rng, deg_g)))
+        pairs.append((negated_lead(rand_fraction_poly(rng, deg_f)), negated_lead(rand_poly(rng, Q, deg_g))))
+        pairs.append((even(rand_poly(rng, Q, 3)), even(rand_fraction_poly(rng, 2))))
+    for _ in range(6):  # constant g
+        c = rand_fraction_poly(rng, 0)
+        pairs += [(rand_fraction_poly(rng, rng.randint(1, 6)), c), (c, rand_poly(rng, Q, rng.randint(1, 6)))]
+    # no neighbour gcd exceeds 1, though contents have denominators
+    pairs.append((P(-2, 2, -3, 1, -1, -1), P(-1, -1, 1, -3, -1)))
+    pairs.append((P(3, -1, 1, 3, -1, -2), P(-1, 1, -1, 3, -2)))
+    telescoped = untelescoped = 0
+    for f, g in pairs:
+        assert resultant_euclid(f, g) == euclid_by_divrem(f, g) == resultant_sylvester(f, g), (f, g)
+        chain = content_chain(*((f, g) if f.degree() >= g.degree() else (g, f)))
+        if chain:
+            gcds = neighbour_gcds(chain)
+            telescoped += any(t > 1 and k >= 2 for t, k in gcds)
+            untelescoped += len(chain) >= 3 and all(t == 1 for t, _ in gcds) and any(d > 1 for _, d, _ in chain)
+    assert telescoped >= 5 and untelescoped >= 2
+    # a common factor: a remainder is 0, negative leading coefficients included
+    h = P(Fraction(-2, 3), Fraction(5, 7), Fraction(-1, 4))
+    for f, g in ((h * P(3, -2), h * P(1, 0, -5)), (h * h * P(-1, 2), h * P(Fraction(1, 3), 0, 0, -7)), (h * P(1, 1), h)):
+        assert resultant_euclid(f, g) == euclid_by_divrem(f, g) == resultant_sylvester(f, g) == Scalar(Q, 0)
+
+
+def test_q_euclid_on_m2_pairs_against_divrem_oracle():
+    # the benchmark's M2 shape, deg r_n = 2^n - 1, whose Q step contents
+    # mostly telescope; Sylvester follows to n = 5 (dimension 46)
+    instances = load_instances()
+    inst = instances.Instance("euclid-q-m2", None, instances.M2, 7)
+    spec = spec_from_json(instances.instance_doc(inst, 3))
+    seq = generate(spec, 7)
+    for n in range(2, 8):
+        value = resultant_euclid(seq[n], seq[n - 1])
+        assert value == euclid_by_divrem(seq[n], seq[n - 1]), n
+        if n <= 5:
+            assert value == resultant_sylvester(seq[n], seq[n - 1]), n
+    assert any(t > 1 for t, _ in neighbour_gcds(content_chain(seq[7], seq[6])))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 10007, 1000003, 2**61 - 1])

@@ -17,11 +17,13 @@ route cannot follow, and the generate route times generate(spec, n), which
 builds r_0..r_n:
 
     fp   over F_1000003, n = 8..15 (deg r_n up to 32767)
-    q    over Q, n = 6..9 (deg r_n up to 511)
+    q    over Q, n = 6..9 (deg r_n up to 511); euclid to n = 10 (1023)
 
 The step tables are drawn up to n = 9, or up to the largest n timed if that
 is larger: the draw of the initials follows the steps, so every route that
-stops at n <= 9 times the same pairs.
+stops at n <= 9 times the same pairs.  The Q euclid route draws steps to
+n = 10, so its pairs differ from those of the Q generate and Sylvester
+routes, and from its own rows written before it reached n = 10.
 
 The generate route also times the `deep` workload's M1_D2 instance of seed 1
 (m = 1, d = 2, one t-term per step, deg r_n = 2n - 2) at its ladder,
@@ -79,7 +81,8 @@ SEED = 1
 NAME = "bench-det-fp"  # the draw depends on it; Q keeps it so both fields time the same pairs
 N_LAST = 9  # steps drawn at least up to n = 9, so the Sylvester and Q Euclid pairs stay those of earlier runs
 SYLVESTER_NS = {"fp": (6, 7, 8, 9), "q": (4, 5, 6)}
-LONG_NS = {"fp": tuple(range(8, 16)), "q": (6, 7, 8, 9)}  # the euclid and generate routes
+LONG_NS = {"fp": tuple(range(8, 16)), "q": (6, 7, 8, 9)}  # the generate route
+EUCLID_NS = {"fp": LONG_NS["fp"], "q": (6, 7, 8, 9, 10)}
 ROUTES = ("sylvester", "euclid", "generate", "formula")
 REPEATS = 3
 FORMULA_NS = (1000, 10000, 100000)  # the M2 rows of the formula route
@@ -177,7 +180,7 @@ def cases(route: str, field: str, prime: int | None) -> list[tuple[str, instance
         rows = [("M2", instances.Instance(f"bench-formula-fp-{n}", prime, instances.M2, n), n) for n in FORMULA_NS]
         shapes = (("M1", instances.M1), ("M1_D2", instances.M1_D2))
     else:
-        ns = (SYLVESTER_NS if route == "sylvester" else LONG_NS)[field]
+        ns = {"sylvester": SYLVESTER_NS, "euclid": EUCLID_NS, "generate": LONG_NS}[route][field]
         inst = instances.Instance(NAME, prime, instances.M2, max(N_LAST, *ns))
         rows = [("M2", inst, n) for n in ns]
         shapes = (("M1_D2", instances.M1_D2),) if route == "generate" else ()
